@@ -1,12 +1,13 @@
-//! Criterion: join-graph enumeration (combinations, joinable groups,
-//! non-joinable cache, ranking) without materialization — the JGS bar of
-//! Fig. 4(b).
+//! Criterion: join-graph search (combinations, joinable groups,
+//! non-joinable cache, scoring, ranking) without materialization — the JGS
+//! bar of Fig. 4(b). Runs through `SearchContext` with `k = 0`, so no
+//! ranked candidate is materialized.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ver_datagen::wdc::{generate_wdc, WdcConfig};
 use ver_index::{build_index, IndexConfig};
 use ver_qbe::ExampleQuery;
-use ver_search::enumerate::enumerate_combinations;
+use ver_search::{SearchConfig, SearchContext};
 use ver_select::{column_selection, SelectionConfig};
 
 fn bench_join_graph_search(c: &mut Criterion) {
@@ -27,16 +28,22 @@ fn bench_join_graph_search(c: &mut Criterion) {
         ExampleQuery::from_rows(&[vec!["Philippines", "2644000"], vec!["Vietnam", "3055000"]])
             .unwrap();
     let selection = column_selection(&idx, &query, &SelectionConfig::default());
+    let config = |rho| SearchConfig {
+        rho,
+        k: 0,
+        max_combinations: 20_000,
+        ..SearchConfig::default()
+    };
 
     let mut group = c.benchmark_group("join_graph_search");
     group.sample_size(20);
     group.measurement_time(std::time::Duration::from_secs(3));
-    group.bench_function("enumerate_rho2", |b| {
-        b.iter(|| enumerate_combinations(&idx, &selection, 2, 20_000))
-    });
-    group.bench_function("enumerate_rho1", |b| {
-        b.iter(|| enumerate_combinations(&idx, &selection, 1, 20_000))
-    });
+    for rho in [2, 1] {
+        let config = config(rho);
+        group.bench_function(format!("search_rho{rho}"), |b| {
+            b.iter(|| SearchContext::new(&cat, &idx).search(&selection, &config))
+        });
+    }
     group.bench_function("generate_join_graphs_pairwise", |b| {
         let tables: Vec<_> = (0..cat.table_count().min(4))
             .map(|i| ver_common::ids::TableId(i as u32))

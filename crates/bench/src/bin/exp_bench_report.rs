@@ -13,9 +13,9 @@
 //! context (thread count, CPU features, active SIMD backend).
 //!
 //! ```text
-//! cargo run --release --bin exp_bench_report                 # full corpora → BENCH_<pr>.json
+//! cargo run --release --bin exp_bench_report                 # full corpora → bench_report.json ("pr": null)
 //! cargo run --release --bin exp_bench_report -- --smoke      # reduced corpora (CI)
-//! cargo run --release --bin exp_bench_report -- --pr 3       # label for PR 3 → BENCH_3.json
+//! cargo run --release --bin exp_bench_report -- --pr 3       # labelled run → BENCH_3.json
 //! cargo run --release --bin exp_bench_report -- --out p.json # custom output path
 //! ```
 
@@ -78,23 +78,6 @@ impl DagReport {
     }
 }
 
-/// End-to-end query latency of the scatter/gather path at one shard count.
-#[derive(Debug, Clone, Copy)]
-struct ShardTimes {
-    shards: usize,
-    query_ms: f64,
-}
-
-/// PR 8's sharded serving section: the full pipeline run single-engine vs.
-/// scattered over 1 / 2 / 4 logical shards, outputs asserted bit-identical
-/// (determinism invariant 11) while timing.
-#[derive(Debug, Clone, Default)]
-struct ShardingReport {
-    queries: usize,
-    single_ms: f64,
-    per_count: Vec<ShardTimes>,
-}
-
 struct CorpusReport {
     name: &'static str,
     tables: usize,
@@ -109,7 +92,6 @@ struct CorpusReport {
     online_2: OnlineTimes,
     online_auto: OnlineTimes,
     dag: DagReport,
-    sharding: ShardingReport,
 }
 
 fn index_config(threads: usize, verify_exact: bool) -> IndexConfig {
@@ -197,64 +179,6 @@ fn dag_pass(ver: &Ver, gts: &[GroundTruth], reps: usize) -> DagReport {
     r
 }
 
-/// Sharded scatter/gather vs. the single-engine pipeline over every
-/// ground-truth query: best-of-`reps` end-to-end wall clock per query per
-/// shard count, summed — with the merged output asserted bit-identical to
-/// the single-engine run at every count (invariant 11), enforced even
-/// here.
-fn shard_pass(ver: &Ver, gts: &[GroundTruth], reps: usize) -> ShardingReport {
-    let budget = ver_common::budget::QueryBudget::none();
-    let mut report = ShardingReport {
-        per_count: [1usize, 2, 4]
-            .iter()
-            .map(|&shards| ShardTimes {
-                shards,
-                query_ms: 0.0,
-            })
-            .collect(),
-        ..Default::default()
-    };
-    for gt in gts {
-        let Ok(query) = generate_noisy_query(ver.catalog(), gt, NoiseLevel::Zero, 3, 1) else {
-            continue;
-        };
-        let spec = ver_qbe::ViewSpec::Qbe(query);
-        let mut single = None;
-        report.single_ms += best_ms(reps, || {
-            single = Some(ver.run_budgeted(&spec, None, &budget).expect("single run"));
-        });
-        let single = single.unwrap();
-        for entry in report.per_count.iter_mut() {
-            let mut sharded = None;
-            entry.query_ms += best_ms(reps, || {
-                sharded = Some(
-                    ver.run_sharded(&spec, None, &budget, entry.shards)
-                        .expect("sharded run"),
-                );
-            });
-            let sharded = sharded.unwrap();
-            assert!(!sharded.partial, "{}: healthy scatter is complete", gt.name);
-            assert_eq!(
-                sharded.ranked, single.ranked,
-                "{}: sharded ranking diverged at {} shards",
-                gt.name, entry.shards
-            );
-            assert_eq!(sharded.views.len(), single.views.len());
-            for (a, b) in sharded.views.iter().zip(&single.views) {
-                assert!(
-                    a.same_contents(b),
-                    "{}: sharded view {} diverged at {} shards",
-                    gt.name,
-                    a.id,
-                    entry.shards
-                );
-            }
-        }
-        report.queries += 1;
-    }
-    report
-}
-
 /// Time index builds (1/2/auto threads) and the online path (JGS +
 /// materialization + 4C, likewise at 1/2/auto threads) over the corpus's
 /// ground-truth queries.
@@ -286,7 +210,6 @@ fn report_corpus(
     let (online_2, ..) = online_pass(&ver, &gts, 2);
     let (online_auto, ..) = online_pass(&ver, &gts, 0);
     let dag = dag_pass(&ver, &gts, reps);
-    let sharding = shard_pass(&ver, &gts, reps);
 
     CorpusReport {
         name,
@@ -302,7 +225,6 @@ fn report_corpus(
         online_2,
         online_auto,
         dag,
-        sharding,
     }
 }
 
@@ -482,17 +404,21 @@ fn write_online(json: &mut String, label: &str, t: &OnlineTimes, last: bool) {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let pr: u32 = args
+    // Unlabelled runs claim no PR number and write a file no checked-in
+    // `BENCH_<n>.json` is named after.
+    let pr: Option<u32> = args
         .iter()
         .position(|a| a == "--pr")
         .and_then(|i| args.get(i + 1))
-        .map(|v| v.parse().expect("--pr takes a number"))
-        .unwrap_or(6);
+        .map(|v| v.parse().expect("--pr takes a number"));
     let out_path = args
         .iter()
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| format!("BENCH_{pr}.json"));
+        .unwrap_or_else(|| match pr {
+            Some(pr) => format!("BENCH_{pr}.json"),
+            None => "bench_report.json".into(),
+        });
     let reps = if smoke { 1 } else { 3 };
     let hw = resolve_threads(0);
 
@@ -532,7 +458,8 @@ fn main() {
     let mut json = String::new();
     json.push_str("{\n");
     let _ = writeln!(json, "  \"bench\": \"exp_bench_report\",");
-    let _ = writeln!(json, "  \"pr\": {pr},");
+    let pr_json = pr.map_or_else(|| "null".to_string(), |pr| pr.to_string());
+    let _ = writeln!(json, "  \"pr\": {pr_json},");
     let _ = writeln!(json, "  \"hardware\": {},", hardware_json());
     let _ = writeln!(json, "  \"hardware_threads\": {hw},");
     let _ = writeln!(json, "  \"smoke\": {smoke},");
@@ -592,32 +519,6 @@ fn main() {
             r.dag.independent_ms,
             r.dag.speedup()
         );
-        json.push_str("      },\n");
-        // Sharded scatter/gather: end-to-end pipeline latency per shard
-        // count, outputs asserted bit-identical to the single-engine run
-        // at every count (invariant 11).
-        json.push_str("      \"sharding\": {\n");
-        let _ = writeln!(
-            json,
-            "        \"queries\": {}, \"single_engine_ms\": {:.3},",
-            r.sharding.queries, r.sharding.single_ms
-        );
-        let _ = writeln!(json, "        \"bit_identical\": true,");
-        json.push_str("        \"per_shard_count\": [\n");
-        for (j, t) in r.sharding.per_count.iter().enumerate() {
-            let _ = writeln!(
-                json,
-                "          {{\"shards\": {}, \"query_ms\": {:.3}}}{}",
-                t.shards,
-                t.query_ms,
-                if j + 1 == r.sharding.per_count.len() {
-                    ""
-                } else {
-                    ","
-                }
-            );
-        }
-        json.push_str("        ]\n");
         json.push_str("      }\n");
         json.push_str(if i == 0 { "    },\n" } else { "    }\n" });
     }

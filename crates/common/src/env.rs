@@ -11,10 +11,10 @@
 //!   the fallback computes identical output anyway;
 //! * an unset variable silently takes the default.
 //!
-//! [`EnvKnob`] packages that contract so `VER_THREADS`, `VER_SHARDS`,
-//! `VER_ADDR`, `VER_MAX_CONNS`, `VER_RETRIES`, `VER_BACKOFF_MS` and
-//! `VER_BREAKER` all share one implementation instead of five hand-rolled
-//! `OnceLock` blocks. The per-knob *syntax* stays with the knob (callers
+//! [`EnvKnob`] packages that contract so `VER_THREADS`, `VER_ADDR`,
+//! `VER_MAX_CONNS`, `VER_RETRIES`, `VER_BACKOFF_MS` and `VER_BREAKER` all
+//! share one implementation instead of one hand-rolled `OnceLock` block
+//! each. The per-knob *syntax* stays with the knob (callers
 //! pass their own parse function); this module owns only the
 //! once-per-process + warn-once-and-fall-back mechanics.
 

@@ -132,23 +132,15 @@ impl Ver {
     /// Run the automatic pipeline (Algorithm 1 lines 1-9 and 13) for any
     /// view specification.
     pub fn run(&self, spec: &ViewSpec) -> Result<QueryResult> {
-        self.run_cached(spec, None)
+        self.run_budgeted(spec, None, &QueryBudget::none())
     }
 
-    /// [`Ver::run`] with optional cross-query [`SearchCaches`].
+    /// [`Ver::run`] with optional cross-query [`SearchCaches`], under a
+    /// [`QueryBudget`].
     ///
     /// The serving layer threads one cache bundle through every query of a
     /// long-lived engine; output is bit-identical to [`Ver::run`] for any
     /// cache state (see `ver_search::cache` for the contract).
-    pub fn run_cached(
-        &self,
-        spec: &ViewSpec,
-        caches: Option<&SearchCaches>,
-    ) -> Result<QueryResult> {
-        self.run_budgeted(spec, caches, &QueryBudget::none())
-    }
-
-    /// [`Ver::run_cached`] under a [`QueryBudget`].
     ///
     /// The budget is threaded through every stage: search checks it per
     /// candidate scored, per DAG step and per view projected (skipping
@@ -160,7 +152,7 @@ impl Ver {
     /// a C2 survivor and ranking falls back to the non-QBE join-score
     /// order. Errors that are neither deadline nor panic (e.g. genuine
     /// I/O failures) still fail the query. An unlimited budget makes this
-    /// byte-identical to [`Ver::run_cached`].
+    /// byte-identical to [`Ver::run`].
     pub fn run_budgeted(
         &self,
         spec: &ViewSpec,
@@ -183,107 +175,17 @@ impl Ver {
         self.finish_query(spec, budget, timer, selection, search_out)
     }
 
-    /// [`Ver::run_budgeted`] with JOIN-GRAPH-SEARCH + MATERIALIZER
-    /// scattered over `shard_count` logical shards and gathered back
-    /// through the content-based rank order — determinism invariant 11:
-    /// the result is **bit-identical** to the single-engine
-    /// [`Ver::run_budgeted`] for every shard count (same views, same
-    /// [`ViewId`]s, same ranking), because candidate ownership partitions
-    /// the globally-ranked candidate list exactly and the gather merges
-    /// through the same total order the single path sorts by.
-    ///
-    /// Each scatter leg runs on `ver_common::pool` with the query's
-    /// [`QueryBudget`] threaded through by value (the deadline is an
-    /// absolute instant, so every shard races the same wall clock). A leg
-    /// that trips its deadline degrades *inside* the shard (its slice
-    /// comes back partial); a leg whose worker panics is dropped and the
-    /// merged result is flagged [`QueryResult::partial`] — never an error.
-    /// Distillation and ranking run centrally on the merged views, exactly
-    /// as in the single-engine path.
-    pub fn run_sharded(
-        &self,
-        spec: &ViewSpec,
-        caches: Option<&SearchCaches>,
-        budget: &QueryBudget,
-        shard_count: usize,
-    ) -> Result<QueryResult> {
-        self.run_sharded_with_legs(spec, caches, budget, shard_count)
-            .map(|(result, _)| result)
-    }
-
-    /// [`Ver::run_sharded`] that also reports what happened to each
-    /// scatter leg, so a serving layer can keep per-shard health counters.
-    pub fn run_sharded_with_legs(
-        &self,
-        spec: &ViewSpec,
-        caches: Option<&SearchCaches>,
-        budget: &QueryBudget,
-        shard_count: usize,
-    ) -> Result<(QueryResult, Vec<ShardLeg>)> {
-        assert!(shard_count >= 1, "shard_count must be at least 1");
-        let mut timer = PhaseTimer::new();
-
-        // COLUMN-SELECTION runs once; the scatter shares the result.
-        let selection = timer.time("cs", || {
-            select_for_spec(&self.index, spec, &self.config.selection)
-        });
-
-        // Scatter: one search leg per shard, fanned out on the pool. Legs
-        // are independent (shared caches are bit-identical to none), and
-        // `try_par_map` degrades a panicking leg to an error we can drop.
-        let pool = ver_common::pool::ThreadPool::new(self.config.search.threads);
-        let shard_ids: Vec<usize> = (0..shard_count).collect();
-        let legs = pool.try_par_map(&shard_ids, |&shard| {
-            let mut cx = SearchContext::new(&self.catalog, &self.index).with_budget(*budget);
-            if let Some(caches) = caches {
-                cx = cx.with_caches(caches);
-            }
-            cx.search_shard(&selection, &self.config.search, shard, shard_count)
-        });
-        let mut outputs = Vec::with_capacity(shard_count);
-        let mut reports = Vec::with_capacity(shard_count);
-        let mut complete = true;
-        for (shard, leg) in legs.into_iter().enumerate() {
-            match leg {
-                Ok(out) => {
-                    reports.push(ShardLeg {
-                        shard,
-                        ok: true,
-                        partial: out.partial,
-                        views: out.views.len(),
-                    });
-                    outputs.push(out);
-                }
-                // A shard whose worker panicked or that ran out the clock
-                // before degrading internally is dropped: the gather
-                // proceeds on the healthy shards, flagged partial.
-                Err(VerError::DeadlineExceeded(_)) | Err(VerError::Internal(_)) => {
-                    complete = false;
-                    reports.push(ShardLeg {
-                        shard,
-                        ok: false,
-                        partial: true,
-                        views: 0,
-                    });
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let search_out = ver_search::merge_shard_outputs(outputs, complete);
-        self.finish_query(spec, budget, timer, selection, search_out)
-            .map(|result| (result, reports))
-    }
-
     /// One scatter leg of the sharded search, runnable **in a separate
     /// process** from the gather: COLUMN-SELECTION (deterministic, so
     /// every leg computes the identical selection the gather will) plus
     /// this shard's JOIN-GRAPH-SEARCH + MATERIALIZER slice.
     ///
-    /// [`Ver::run_sharded_with_legs`] shares one selection across its
-    /// in-process legs as an optimisation; this entry point recomputes it
-    /// per call so a remote shard server needs nothing but the spec and
-    /// its shard identity on the wire. Selection is a pure function of
-    /// (index, spec, config), so the two paths are bit-identical.
+    /// Selection is recomputed per call so a remote shard server needs
+    /// nothing but the spec and its shard identity on the wire; it is a
+    /// pure function of (index, spec, config), so every leg and the
+    /// gather agree on it. A leg that trips the budget's deadline degrades
+    /// inside its shard (its slice comes back
+    /// [`partial`](ver_search::ShardSearchOutput::partial)).
     pub fn run_shard_leg(
         &self,
         spec: &ViewSpec,
@@ -312,7 +214,7 @@ impl Ver {
     /// dropped; the merged result is then flagged
     /// [`QueryResult::partial`] — a missing leg is never an error. With
     /// every leg present the result is bit-identical to
-    /// [`Ver::run_budgeted`] (invariants 11 and 13 build on this).
+    /// [`Ver::run_budgeted`] for every leg count (invariants 11 and 13).
     pub fn gather_shard_outputs(
         &self,
         spec: &ViewSpec,
@@ -403,21 +305,6 @@ impl Ver {
     pub fn mode(&self) -> Mode {
         self.config.mode
     }
-}
-
-/// Outcome of one scatter leg of [`Ver::run_sharded_with_legs`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardLeg {
-    /// Which shard the leg queried.
-    pub shard: usize,
-    /// `false` when the leg was dropped (worker panic or un-degraded
-    /// deadline) and contributed nothing to the merge.
-    pub ok: bool,
-    /// `true` when the leg's slice was trimmed by the budget (or the leg
-    /// was dropped entirely).
-    pub partial: bool,
-    /// Views the leg contributed to the merge.
-    pub views: usize,
 }
 
 /// The degraded stand-in for an abandoned distillation: an unlabelled
@@ -662,7 +549,9 @@ mod tests {
         let base = ver.run(&spec).unwrap();
         let caches = SearchCaches::new(32);
         for pass in 0..2 {
-            let out = ver.run_cached(&spec, Some(&caches)).unwrap();
+            let out = ver
+                .run_budgeted(&spec, Some(&caches), &QueryBudget::none())
+                .unwrap();
             assert_eq!(out.ranked, base.ranked, "pass {pass}");
             assert_eq!(out.distill.survivors_c2, base.distill.survivors_c2);
             for (a, b) in out.views.iter().zip(&base.views) {
@@ -679,9 +568,17 @@ mod tests {
         let single = ver.run(&spec).unwrap();
         assert!(single.views.len() > 1, "need a multi-view query");
         for count in [1usize, 2, 4] {
+            // Every leg shares one cache bundle, as legs of one serving
+            // process do; cache hits are bit-identical to misses.
             let caches = SearchCaches::new(32);
+            let outputs: Vec<_> = (0..count)
+                .map(|s| {
+                    ver.run_shard_leg(&spec, Some(&caches), &QueryBudget::none(), s, count)
+                        .unwrap()
+                })
+                .collect();
             let sharded = ver
-                .run_sharded(&spec, Some(&caches), &QueryBudget::none(), count)
+                .gather_shard_outputs(&spec, &QueryBudget::none(), outputs, true)
                 .unwrap();
             assert!(!sharded.partial, "count={count}");
             assert_eq!(sharded.ranked, single.ranked, "count={count}");
@@ -743,8 +640,15 @@ mod tests {
         let ver = Ver::build(catalog(), VerConfig::fast()).unwrap();
         let spec = qbe(&[vec!["st1", "1001"], vec!["st2", "1002"]]);
         let budget = QueryBudget::none().with_timeout(std::time::Duration::ZERO);
+        let outputs: Vec<_> = (0..2)
+            .map(|s| {
+                ver.run_shard_leg(&spec, None, &budget, s, 2)
+                    .expect("budget exhaustion degrades the leg, never errors")
+            })
+            .collect();
+        assert!(outputs.iter().all(|o| o.partial));
         let out = ver
-            .run_sharded(&spec, None, &budget, 2)
+            .gather_shard_outputs(&spec, &budget, outputs, true)
             .expect("budget exhaustion degrades, never errors");
         assert!(out.partial);
         assert!(out.views.is_empty());

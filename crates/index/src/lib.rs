@@ -44,8 +44,5 @@ pub use minhash::{
     exact_jaccard, hashed_containment, hashed_containment_max, hashed_containment_scalar,
     hashed_jaccard, MinHashSignature, MinHasher,
 };
-pub use shard::{
-    load_shard, load_sharded_index, merge_shards, partition_index, save_shard, save_sharded_index,
-    shard_from_bytes, shard_of_table, shard_to_bytes, IndexShard,
-};
+pub use shard::shard_of_table;
 pub use valueindex::{Fuzziness, SearchTarget};

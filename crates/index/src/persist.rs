@@ -1,18 +1,13 @@
 //! Binary persistence of the offline pass's products.
 //!
-//! Three formats live here, all hand-rolled on the `bytes` crate (the serde
+//! Two formats live here, both hand-rolled on the `bytes` crate (the serde
 //! stand-in under `vendor/` is a no-op, so persistence cannot lean on
 //! derives):
 //!
 //! * the **hypergraph format** (`VERIDX\x01`) — just the join hypergraph,
 //!   the original persistence surface kept for compatibility and tooling;
-//! * the **legacy full-index format** (`VERIDX\x02`) — everything
-//!   [`DiscoveryIndex`] holds, as one monolithic body. Still readable
-//!   ([`index_from_bytes`] dispatches on the magic byte) so artifacts
-//!   written by older builds keep loading; [`index_to_bytes_v2`] still
-//!   writes it for compat testing and downgrade tooling;
-//! * the **checksummed full-index format** (`VERIDX\x03`) — the same five
-//!   payload sections (build config, column profiles with their
+//! * the **checksummed full-index format** (`VERIDX\x03`) — everything
+//!   [`DiscoveryIndex`] holds, as five payload sections (build config, column profiles with their
 //!   distinct-hash vectors, MinHash signatures, keyword index, hypergraph),
 //!   each framed as `len u64 · payload · checksum u64`, followed by a
 //!   whole-file trailer checksum. This is what [`save_index`] writes and
@@ -43,8 +38,8 @@
 //! per-section checksums then localise the damage ("profiles section
 //! checksum mismatch") for artifacts corrupted in ways the trailer cannot
 //! attribute. All lengths are still validated against the remaining input
-//! before allocation, so even legacy `\x02` artifacts (which carry no
-//! checksums) fail with [`VerError::Serde`] instead of panicking or
+//! before allocation, so even a payload whose checksums were forged
+//! fails with [`VerError::Serde`] instead of panicking or
 //! over-allocating. The MinHash family is *not* stored: it is a pure
 //! function of `(minhash_k, seed)`, both in the config.
 //!
@@ -68,7 +63,6 @@ use ver_common::value::DataType;
 use ver_store::profile::ColumnProfile;
 
 const MAGIC: &[u8; 8] = b"VERIDX\x01\x00";
-const MAGIC_FULL_V2: &[u8; 8] = b"VERIDX\x02\x00";
 const MAGIC_FULL_V3: &[u8; 8] = b"VERIDX\x03\x00";
 
 /// Section names in on-disk order, used to name the damaged section in
@@ -80,7 +74,7 @@ const SECTIONS: [&str; 5] = ["config", "profiles", "signatures", "keyword", "hyp
 /// words (zero-padded tail), and close over the length so zero-extension
 /// cannot collide. Not cryptographic — it detects the accidents that
 /// matter here: bit rot, truncation, torn writes, and swapped sections.
-pub(crate) fn checksum(section: u64, payload: &[u8]) -> u64 {
+fn checksum(section: u64, payload: &[u8]) -> u64 {
     use ver_common::fxhash::fx_step;
     let mut h = fx_step(0xc3a5_c85c_97cb_3127, section);
     let mut words = payload.chunks_exact(8);
@@ -102,12 +96,12 @@ pub(crate) fn checksum(section: u64, payload: &[u8]) -> u64 {
 /// A cursor over input bytes whose reads are all length-checked: every
 /// decoder path returns `VerError::Serde` on truncated input rather than
 /// panicking inside the `bytes` crate.
-pub(crate) struct Cursor<'a> {
+struct Cursor<'a> {
     data: &'a [u8],
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(data: &'a [u8]) -> Self {
+    fn new(data: &'a [u8]) -> Self {
         Cursor { data }
     }
 
@@ -128,17 +122,17 @@ impl<'a> Cursor<'a> {
         Ok(self.data.get_u16_le())
     }
 
-    pub(crate) fn u32(&mut self, what: &str) -> Result<u32> {
+    fn u32(&mut self, what: &str) -> Result<u32> {
         self.need(4, what)?;
         Ok(self.data.get_u32_le())
     }
 
-    pub(crate) fn u64(&mut self, what: &str) -> Result<u64> {
+    fn u64(&mut self, what: &str) -> Result<u64> {
         self.need(8, what)?;
         Ok(self.data.get_u64_le())
     }
 
-    pub(crate) fn f32(&mut self, what: &str) -> Result<f32> {
+    fn f32(&mut self, what: &str) -> Result<f32> {
         self.need(4, what)?;
         Ok(self.data.get_f32_le())
     }
@@ -150,7 +144,7 @@ impl<'a> Cursor<'a> {
 
     /// A `u32` length prefix, validated so that `len * item_bytes` items can
     /// actually follow (blocks huge bogus allocations from corrupt input).
-    pub(crate) fn len(&mut self, item_bytes: usize, what: &str) -> Result<usize> {
+    fn len(&mut self, item_bytes: usize, what: &str) -> Result<usize> {
         let n = self.u32(what)? as usize;
         self.need(n.saturating_mul(item_bytes), what)?;
         Ok(n)
@@ -192,7 +186,7 @@ impl<'a> Cursor<'a> {
         Ok(head)
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.data.remaining() == 0
     }
 }
@@ -303,24 +297,23 @@ pub fn load_hypergraph(path: &std::path::Path) -> Result<JoinHypergraph> {
 }
 
 // ---------------------------------------------------------------------------
-// Full-index formats (VERIDX\x02 monolithic, VERIDX\x03 checksummed).
+// Full-index format (VERIDX\x03, checksummed).
 
 /// Config section (the MinHash family is derived from k + seed on load).
-/// `threads` is passed explicitly: the v3 writer canonicalises it to `0`
-/// (auto) because the build-time worker count is not index content, while
-/// the v2 writer preserves the historical byte layout exactly.
-pub(crate) fn put_config(buf: &mut BytesMut, c: &IndexConfig, threads: u32) {
+/// `threads` is written as `0` (auto): the build-time worker count is not
+/// index content, and canonicalising it keeps the encoding canonical.
+fn put_config(buf: &mut BytesMut, c: &IndexConfig) {
     buf.put_u32_le(c.minhash_k as u32);
     buf.put_f64_le(c.containment_threshold);
     buf.put_u8(u8::from(c.verify_exact));
     buf.put_u64_le(c.sample_cap as u64);
-    buf.put_u32_le(threads);
+    buf.put_u32_le(0);
     buf.put_u64_le(c.seed);
     buf.put_u64_le(c.value_index_cap as u64);
 }
 
-/// One column profile (shared by the full-index and shard formats).
-pub(crate) fn put_profile(buf: &mut BytesMut, p: &ColumnProfile) {
+/// One column profile.
+fn put_profile(buf: &mut BytesMut, p: &ColumnProfile) {
     buf.put_u32_le(p.id.0);
     buf.put_u32_le(p.cref.table.0);
     buf.put_u16_le(p.cref.ordinal);
@@ -343,8 +336,8 @@ fn put_profiles(buf: &mut BytesMut, index: &DiscoveryIndex) {
     }
 }
 
-/// One MinHash signature (shared by the full-index and shard formats).
-pub(crate) fn put_signature(buf: &mut BytesMut, sig: &MinHashSignature) {
+/// One MinHash signature.
+fn put_signature(buf: &mut BytesMut, sig: &MinHashSignature) {
     buf.put_u64_le(sig.cardinality as u64);
     put_u64_slice(buf, &sig.sig);
 }
@@ -358,7 +351,7 @@ fn put_signatures(buf: &mut BytesMut, index: &DiscoveryIndex) {
 }
 
 /// Keyword-index section, key-sorted for canonical bytes.
-pub(crate) fn put_keyword(buf: &mut BytesMut, keyword: &KeywordIndex) {
+fn put_keyword(buf: &mut BytesMut, keyword: &KeywordIndex) {
     let (values, attributes, table_names, table_columns) = keyword.persist_parts();
     buf.put_u32_le(values.len() as u32);
     for (value, cols) in values {
@@ -392,7 +385,7 @@ pub(crate) fn put_keyword(buf: &mut BytesMut, keyword: &KeywordIndex) {
 /// byte-for-byte across builds and thread counts.
 pub fn index_to_bytes(index: &DiscoveryIndex) -> Bytes {
     let mut sections: [BytesMut; 5] = Default::default();
-    put_config(&mut sections[0], index.config(), 0);
+    put_config(&mut sections[0], index.config());
     put_profiles(&mut sections[1], index);
     put_signatures(&mut sections[2], index);
     put_keyword(&mut sections[3], index.keyword_index());
@@ -400,12 +393,11 @@ pub fn index_to_bytes(index: &DiscoveryIndex) -> Bytes {
     frame_sections(MAGIC_FULL_V3, &sections)
 }
 
-/// Frame payload sections in the checksummed layout shared by the
-/// `VERIDX\x03` full-index and `VERSHD\x01` shard formats: magic, then each
-/// section as `len u64 · payload · checksum u64`, then a whole-file trailer
+/// Frame payload sections in the checksummed `VERIDX\x03` layout: magic,
+/// then each section as `len u64 · payload · checksum u64`, then a whole-file trailer
 /// checksum (trailer pseudo-section index = number of sections, so a
 /// section checksum can never masquerade as the trailer).
-pub(crate) fn frame_sections(magic: &[u8; 8], sections: &[BytesMut]) -> Bytes {
+fn frame_sections(magic: &[u8; 8], sections: &[BytesMut]) -> Bytes {
     let total: usize = sections.iter().map(|s| s.len() + 16).sum();
     let mut buf = BytesMut::with_capacity(magic.len() + total + 8);
     buf.put_slice(magic);
@@ -422,7 +414,7 @@ pub(crate) fn frame_sections(magic: &[u8; 8], sections: &[BytesMut]) -> Bytes {
 /// Decode a [`frame_sections`] artifact: verify the whole-file trailer over
 /// the raw bytes *before any parsing*, then check and slice out each named
 /// section. Returns one payload slice per name, in order.
-pub(crate) fn read_framed_sections<'a>(
+fn read_framed_sections<'a>(
     data: &'a [u8],
     magic: &[u8; 8],
     names: &[&str],
@@ -460,47 +452,16 @@ pub(crate) fn read_framed_sections<'a>(
     Ok(payloads)
 }
 
-/// Serialise a complete [`DiscoveryIndex`] in the legacy monolithic
-/// `VERIDX\x02` layout (no checksums). Kept for read-compat testing and
-/// for tooling that needs to produce artifacts older builds can load.
-pub fn index_to_bytes_v2(index: &DiscoveryIndex) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1 << 16);
-    buf.put_slice(MAGIC_FULL_V2);
-    put_config(&mut buf, index.config(), index.config().threads as u32);
-    put_profiles(&mut buf, index);
-    put_signatures(&mut buf, index);
-    put_keyword(&mut buf, index.keyword_index());
-    put_hypergraph(&mut buf, index.hypergraph());
-    buf.freeze()
-}
-
 /// Deserialise a [`DiscoveryIndex`] from bytes produced by
-/// [`index_to_bytes`] (checksummed `\x03`) or [`index_to_bytes_v2`]
-/// (legacy `\x02`) — the magic byte selects the decoder. The result
-/// satisfies [`DiscoveryIndex::same_contents`] with the original.
+/// [`index_to_bytes`]. The result satisfies
+/// [`DiscoveryIndex::same_contents`] with the original.
+///
+/// The whole-file trailer is verified over the raw bytes *before any
+/// parsing*, so any flipped bit or truncation — in payloads, length
+/// fields, section checksums, or the trailer itself — fails here with a
+/// typed error; the per-section checksums then attribute damage to a
+/// named section.
 pub fn index_from_bytes(data: &[u8]) -> Result<DiscoveryIndex> {
-    if data.len() >= MAGIC_FULL_V3.len() && &data[..MAGIC_FULL_V3.len()] == MAGIC_FULL_V3 {
-        return index_from_bytes_v3(data);
-    }
-    if data.len() < MAGIC_FULL_V2.len() || &data[..MAGIC_FULL_V2.len()] != MAGIC_FULL_V2 {
-        return Err(VerError::Serde(
-            "bad magic header (not a full-index artifact)".into(),
-        ));
-    }
-    let mut cur = Cursor::new(&data[MAGIC_FULL_V2.len()..]);
-    let index = read_index_body(&mut cur)?;
-    if !cur.is_empty() {
-        return Err(VerError::Serde("trailing bytes after index".into()));
-    }
-    Ok(index)
-}
-
-/// Decode the checksummed `VERIDX\x03` layout. The whole-file trailer is
-/// verified over the raw bytes *before any parsing*, so any flipped bit or
-/// truncation — in payloads, length fields, section checksums, or the
-/// trailer itself — fails here with a typed error; the per-section
-/// checksums then attribute damage to a named section.
-fn index_from_bytes_v3(data: &[u8]) -> Result<DiscoveryIndex> {
     let payloads = read_framed_sections(data, MAGIC_FULL_V3, &SECTIONS)?;
 
     let section = |i: usize| -> Cursor<'_> { Cursor::new(payloads[i]) };
@@ -531,19 +492,7 @@ fn index_from_bytes_v3(data: &[u8]) -> Result<DiscoveryIndex> {
     assemble_checked(config, profiles, signatures, keyword, hypergraph)
 }
 
-/// Decode the shared body layout (config → profiles → signatures → keyword
-/// → hypergraph) from one cursor — the whole of a `\x02` artifact after
-/// the magic, and the concatenation of a `\x03` artifact's payloads.
-fn read_index_body(cur: &mut Cursor<'_>) -> Result<DiscoveryIndex> {
-    let config = read_config(cur)?;
-    let profiles = read_profiles(cur)?;
-    let signatures = read_signatures(cur, profiles.len(), config.minhash_k)?;
-    let keyword = read_keyword(cur, profiles.len())?;
-    let hypergraph = read_hypergraph(cur)?;
-    assemble_checked(config, profiles, signatures, keyword, hypergraph)
-}
-
-/// Final cross-section validation + assembly shared by both decoders.
+/// Final cross-section validation + assembly.
 fn assemble_checked(
     config: IndexConfig,
     profiles: Vec<ColumnProfile>,
@@ -564,7 +513,7 @@ fn assemble_checked(
     ))
 }
 
-pub(crate) fn read_config(cur: &mut Cursor<'_>) -> Result<IndexConfig> {
+fn read_config(cur: &mut Cursor<'_>) -> Result<IndexConfig> {
     let config = IndexConfig {
         minhash_k: cur.u32("config")? as usize,
         containment_threshold: cur.f64("config")?,
@@ -602,10 +551,8 @@ fn read_profiles(cur: &mut Cursor<'_>) -> Result<Vec<ColumnProfile>> {
     Ok(profiles)
 }
 
-/// One column profile (shared by the full-index and shard decoders; id
-/// sequencing is the caller's concern — the full format requires the dense
-/// sequence `0..n`, a shard a strictly increasing subsequence).
-pub(crate) fn read_profile(cur: &mut Cursor<'_>) -> Result<ColumnProfile> {
+/// One column profile (id sequencing is checked by [`read_profiles`]).
+fn read_profile(cur: &mut Cursor<'_>) -> Result<ColumnProfile> {
     let id = ColumnId(cur.u32("profile id")?);
     let cref = ColumnRef {
         table: TableId(cur.u32("profile cref")?),
@@ -633,8 +580,8 @@ pub(crate) fn read_profile(cur: &mut Cursor<'_>) -> Result<ColumnProfile> {
     })
 }
 
-/// One MinHash signature (shared by the full-index and shard decoders).
-pub(crate) fn read_signature(cur: &mut Cursor<'_>, minhash_k: usize) -> Result<MinHashSignature> {
+/// One MinHash signature.
+fn read_signature(cur: &mut Cursor<'_>, minhash_k: usize) -> Result<MinHashSignature> {
     let cardinality = cur.u64("signature cardinality")? as usize;
     let sig = cur.u64_vec("signature")?;
     if sig.len() != minhash_k {
@@ -664,7 +611,7 @@ fn read_signatures(
     Ok(signatures)
 }
 
-pub(crate) fn read_keyword(cur: &mut Cursor<'_>, nprofiles: usize) -> Result<KeywordIndex> {
+fn read_keyword(cur: &mut Cursor<'_>, nprofiles: usize) -> Result<KeywordIndex> {
     // Keyword postings index into the profile/signature tables at query
     // time (`DiscoveryIndex::profile`/`signature` are plain `Vec` lookups),
     // so every ColumnId must be validated here — an out-of-range posting in
@@ -723,7 +670,7 @@ pub(crate) fn read_keyword(cur: &mut Cursor<'_>, nprofiles: usize) -> Result<Key
 /// A crash at any point leaves either the complete old file or the
 /// complete new one, never a torn hybrid (rename within one directory is
 /// atomic on POSIX filesystems).
-pub(crate) fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> Result<()> {
+fn atomic_write(path: &std::path::Path, bytes: &[u8]) -> Result<()> {
     use std::io::Write;
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
     let mut name = path
@@ -765,8 +712,7 @@ pub fn save_index(index: &DiscoveryIndex, path: &std::path::Path) -> Result<()> 
     atomic_write(path, &bytes)
 }
 
-/// Load a complete discovery index from a file written by [`save_index`]
-/// (or a legacy `\x02` artifact).
+/// Load a complete discovery index from a file written by [`save_index`].
 pub fn load_index(path: &std::path::Path) -> Result<DiscoveryIndex> {
     ver_common::fault::hit(ver_common::fault::points::PERSIST_LOAD)?;
     let data = std::fs::read(path)?;
@@ -780,6 +726,14 @@ mod tests {
     use ver_common::value::Value;
     use ver_store::catalog::TableCatalog;
     use ver_store::table::TableBuilder;
+
+    /// Fault state is process-global: tests that save or load through the
+    /// `persist.*` fault points must not interleave with the one that
+    /// arms them.
+    fn fault_guard() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn graph() -> JoinHypergraph {
         let col_table = vec![TableId(0), TableId(0), TableId(1), TableId(2)];
@@ -943,29 +897,6 @@ mod tests {
             index_to_bytes(&four).to_vec(),
             "canonical encoding differs across thread counts"
         );
-        // Legacy v2 preserves `threads` verbatim; blank it on both sides
-        // (offset: magic 8 + k 4 + threshold 8 + exact 1 + sample_cap 8).
-        let mut a = index_to_bytes_v2(&one).to_vec();
-        let b = index_to_bytes_v2(&four).to_vec();
-        let t_off = 8 + 4 + 8 + 1 + 8;
-        a[t_off..t_off + 4].copy_from_slice(&b[t_off..t_off + 4]);
-        assert_eq!(a, b, "v2 encoding differs beyond the threads field");
-    }
-
-    #[test]
-    fn v2_artifacts_still_load() {
-        // Read-compat: the legacy monolithic layout loads into the same
-        // index as the checksummed one.
-        let idx = build(true);
-        let v2 = index_to_bytes_v2(&idx);
-        assert_eq!(&v2[..8], b"VERIDX\x02\x00");
-        let from_v2 = index_from_bytes(&v2).unwrap();
-        assert!(from_v2.same_contents(&idx), "v2 load diverged");
-        let from_v3 = index_from_bytes(&index_to_bytes(&idx)).unwrap();
-        assert!(from_v2.same_contents(&from_v3), "v2 and v3 loads diverge");
-        // v2 round-trips the historical threads field; v3 canonicalises it.
-        assert_eq!(from_v2.config().threads, idx.config().threads);
-        assert_eq!(from_v3.config().threads, 0);
     }
 
     #[test]
@@ -1010,6 +941,7 @@ mod tests {
 
     #[test]
     fn save_is_atomic_and_leaves_no_temp_files() {
+        let _g = fault_guard();
         let dir = std::env::temp_dir().join(format!("ver_index_atomic_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("index.bin");
@@ -1034,6 +966,7 @@ mod tests {
     #[test]
     fn injected_save_faults_surface_and_clear() {
         use ver_common::fault::{self, points, FaultKind};
+        let _g = fault_guard();
         let dir = std::env::temp_dir().join(format!("ver_index_fault_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("index.bin");
@@ -1061,6 +994,7 @@ mod tests {
 
     #[test]
     fn full_index_file_roundtrip_and_api_equivalence() {
+        let _g = fault_guard();
         let dir = std::env::temp_dir().join(format!("ver_index_full_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("index.bin");
@@ -1147,13 +1081,25 @@ mod tests {
 
     #[test]
     fn full_index_rejects_implausible_lengths() {
-        // Use the checksum-free v2 layout so the length validation itself
-        // is exercised (v3 would reject at the trailer before parsing).
+        // Blow up the profile count (the first field of the profiles
+        // payload), then forge the section checksum and the trailer so the
+        // length validation itself is exercised, not the checksums.
         let idx = build(false);
-        let mut bytes = index_to_bytes_v2(&idx).to_vec();
-        // Blow up the profile count field (magic 8 + config 41 bytes).
-        let off = 8 + 4 + 8 + 1 + 8 + 4 + 8 + 8;
-        bytes[off..off + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(index_from_bytes(&bytes), Err(VerError::Serde(_))));
+        let mut bytes = index_to_bytes(&idx).to_vec();
+        let config_len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
+        let len_off = 8 + 8 + config_len + 8;
+        let profiles_len =
+            u64::from_le_bytes(bytes[len_off..len_off + 8].try_into().unwrap()) as usize;
+        let payload = len_off + 8..len_off + 8 + profiles_len;
+        bytes[payload.start..payload.start + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let sum = checksum(1, &bytes[payload.clone()]);
+        bytes[payload.end..payload.end + 8].copy_from_slice(&sum.to_le_bytes());
+        let body_len = bytes.len() - 8;
+        let trailer = checksum(SECTIONS.len() as u64, &bytes[..body_len]);
+        bytes[body_len..].copy_from_slice(&trailer.to_le_bytes());
+        match index_from_bytes(&bytes) {
+            Err(VerError::Serde(m)) => assert!(m.contains("profile"), "msg: {m}"),
+            other => panic!("expected Serde, got {other:?}"),
+        }
     }
 }

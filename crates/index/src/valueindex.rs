@@ -160,59 +160,6 @@ impl KeywordIndex {
         self.table_columns.extend(other.table_columns);
     }
 
-    /// Split into `count` partitions by table ownership: partition
-    /// `owner(table)` receives the table's name/column registration and
-    /// every posting of the table's columns. Posting sublists keep their
-    /// original relative order, so a later [`KeywordIndex::merge`] +
-    /// [`KeywordIndex::sort_postings`] reconstructs a builder-produced
-    /// index exactly (the builder emits strictly increasing posting lists —
-    /// tables in id order, columns in ordinal order).
-    pub(crate) fn partition(
-        &self,
-        count: usize,
-        owner: impl Fn(TableId) -> usize,
-        table_of: impl Fn(ColumnId) -> TableId,
-    ) -> Vec<KeywordIndex> {
-        assert!(count >= 1, "at least one partition");
-        let mut parts = vec![KeywordIndex::new(); count];
-        let split = |postings: &FxHashMap<String, Vec<ColumnId>>,
-                     select: fn(&mut KeywordIndex) -> &mut FxHashMap<String, Vec<ColumnId>>,
-                     parts: &mut Vec<KeywordIndex>| {
-            for (key, cols) in postings {
-                for &c in cols {
-                    let entry = select(&mut parts[owner(table_of(c))])
-                        .entry(key.clone())
-                        .or_default();
-                    entry.push(c);
-                }
-            }
-        };
-        split(&self.values, |p| &mut p.values, &mut parts);
-        split(&self.attributes, |p| &mut p.attributes, &mut parts);
-        for (name, &table) in &self.table_names {
-            parts[owner(table)].table_names.insert(name.clone(), table);
-        }
-        for (&table, cols) in &self.table_columns {
-            parts[owner(table)]
-                .table_columns
-                .insert(table, cols.clone());
-        }
-        parts
-    }
-
-    /// Sort every value/attribute posting list ascending — the canonical
-    /// order builder-produced indexes already have. Called after merging
-    /// shard partitions (whose lists concatenate in shard order) to restore
-    /// the original, bit-identical posting order.
-    pub(crate) fn sort_postings(&mut self) {
-        for cols in self.values.values_mut() {
-            cols.sort_unstable();
-        }
-        for cols in self.attributes.values_mut() {
-            cols.sort_unstable();
-        }
-    }
-
     /// Decompose into persistable parts, each sorted by key so the binary
     /// encoding in [`crate::persist`] is canonical (two equal indexes
     /// serialise to identical bytes). Posting lists keep their insertion

@@ -7,15 +7,13 @@
 //! verified before any parsing, which is what makes the property hold at
 //! *every* offset (payloads, length fields, section checksums, the trailer
 //! itself, even the magic — a damaged magic falls through to the
-//! bad-magic error, still `Serde`). Alongside the properties, the legacy
-//! `VERIDX\x02` read-compat path is pinned: both formats load back
-//! [`DiscoveryIndex::same_contents`]-identical to the in-memory original.
+//! bad-magic error, still `Serde`).
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use ver_common::error::VerError;
 use ver_common::value::Value;
-use ver_index::persist::{index_from_bytes, index_to_bytes, index_to_bytes_v2};
+use ver_index::persist::{index_from_bytes, index_to_bytes};
 use ver_index::{build_index, DiscoveryIndex, IndexConfig};
 use ver_store::catalog::TableCatalog;
 use ver_store::table::TableBuilder;
@@ -137,25 +135,12 @@ fn intact_v3_round_trips_to_same_contents() {
 }
 
 #[test]
-fn legacy_v2_artifact_still_loads_to_same_contents() {
-    // Read-compat: a `\x02` artifact (as written by pre-PR builds) loads
-    // through the same entry point and matches the v3 load exactly.
-    let v2 = index_to_bytes_v2(index());
-    assert_ne!(&v2[..8], &v3_bytes()[..8], "formats must differ in magic");
-    let from_v2 = index_from_bytes(&v2).unwrap();
-    let from_v3 = index_from_bytes(v3_bytes()).unwrap();
-    assert!(from_v2.same_contents(index()));
-    assert!(from_v2.same_contents(&from_v3));
-    // And re-saving the v2 load produces the canonical v3 bytes.
-    assert_eq!(index_to_bytes(&from_v2).as_ref(), v3_bytes());
-}
-
-#[test]
 fn empty_and_garbage_inputs_are_serde_errors() {
     for bad in [
         &[][..],
         b"VERIDX",
         b"VERIDX\x01\x00",
+        b"VERIDX\x02\x00",
         b"VERIDX\x04\x00",
         b"not an artifact at all",
         &[0u8; 64][..],

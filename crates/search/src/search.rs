@@ -14,9 +14,7 @@
 //! independent per-candidate path ([`SearchConfig::dag_materialize`]).
 //!
 //! Entry point: build a [`SearchContext`] over the catalog and index, then
-//! call [`SearchContext::search`]. The pre-PR-6 free functions
-//! [`join_graph_search`] / [`join_graph_search_cached`] remain as
-//! deprecated shims over it.
+//! call [`SearchContext::search`].
 
 use std::sync::Arc;
 
@@ -497,12 +495,10 @@ impl<'a> SearchContext<'a> {
 }
 
 /// Owning shard of a search candidate: the [`ver_index::shard_of_table`]
-/// hash of the smallest `TableId` in its projection. Anchoring candidate
-/// ownership to *table* sharding keeps query-time scatter aligned with
-/// build-time index partitioning — the shard that owns a candidate's lead
-/// table owns its index slices too. Projection-less candidates (which the
-/// planner rejects anyway) fall to shard 0 so the error surfaces on
-/// exactly one shard.
+/// hash of the smallest `TableId` in its projection, so exactly one leg
+/// owns each candidate. Projection-less candidates (which the planner
+/// rejects anyway) fall to shard 0 so the error surfaces on exactly one
+/// shard.
 fn candidate_shard(candidate: &Candidate, shard_count: usize) -> usize {
     match candidate.projection.iter().map(|p| p.table).min() {
         Some(table) => ver_index::shard_of_table(table, shard_count),
@@ -644,40 +640,6 @@ fn collect_candidates(
         }
     }
     Ok(candidates)
-}
-
-/// Run Algorithm 5: enumerate combinations, resolve join graphs, rank, and
-/// materialise the top-k candidate PJ-views.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `SearchContext::new(catalog, index).search(selection, config)`"
-)]
-pub fn join_graph_search(
-    catalog: &TableCatalog,
-    index: &DiscoveryIndex,
-    selection: &SelectionResult,
-    config: &SearchConfig,
-) -> Result<SearchOutput> {
-    SearchContext::new(catalog, index).search(selection, config)
-}
-
-/// [`join_graph_search`] with optional cross-query caches.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `SearchContext::new(catalog, index).with_caches(caches).search(selection, config)`"
-)]
-pub fn join_graph_search_cached(
-    catalog: &TableCatalog,
-    index: &DiscoveryIndex,
-    selection: &SelectionResult,
-    config: &SearchConfig,
-    caches: Option<&crate::cache::SearchCaches>,
-) -> Result<SearchOutput> {
-    let mut cx = SearchContext::new(catalog, index);
-    if let Some(cs) = caches {
-        cx = cx.with_caches(cs);
-    }
-    cx.search(selection, config)
 }
 
 #[cfg(test)]
@@ -1160,27 +1122,5 @@ mod tests {
         assert!(out.views.is_empty());
         let merged = merge_shard_outputs(vec![out], false);
         assert!(merged.partial);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shims_match_the_unified_entrypoint() {
-        let (cat, idx) = setup();
-        let q = ExampleQuery::new(vec![
-            QueryColumn::of_strs(&["st1", "st2"]),
-            QueryColumn::of_strs(&["1001", "2002"]),
-        ])
-        .unwrap();
-        let sel = select(&idx, &q);
-        let cfg = SearchConfig::default();
-        let base = SearchContext::new(&cat, &idx).search(&sel, &cfg).unwrap();
-        let via_old = join_graph_search(&cat, &idx, &sel, &cfg).unwrap();
-        let via_old_cached = join_graph_search_cached(&cat, &idx, &sel, &cfg, None).unwrap();
-        for out in [&via_old, &via_old_cached] {
-            assert_eq!(out.stats, base.stats);
-            for (a, b) in out.views.iter().zip(&base.views) {
-                assert!(a.same_contents(b));
-            }
-        }
     }
 }

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! verd --data DIR [--index FILE] [--save-index] [--addr HOST:PORT]
-//!      [--max-conns N] [--shards N] [--route ADDR,ADDR,...] [--shard-leg]
+//!      [--max-conns N] [--route ADDR,ADDR,...] [--shard-leg]
 //!      [--page-size N] [--fast]
 //! ```
 //!
@@ -21,16 +21,14 @@
 //!   127.0.0.1:7117; use port 0 for ephemeral)
 //! * `--max-conns N` — connection cap, 0 = uncapped (default:
 //!   `VER_MAX_CONNS` knob, then 64)
-//! * `--shards N` — index shards: 1 = single engine, 0 = auto (the
-//!   `VER_SHARDS` knob), >1 = in-process scatter/gather
 //! * `--route ADDR,ADDR,...` — router mode: fan each query out over
 //!   these remote shard-leg `verd` processes (one address per shard, in
 //!   shard order) and merge centrally; `--data`/`--index` still describe
 //!   the full catalog, which the router needs for column selection and
-//!   the merge tail. Mutually exclusive with `--shards`
+//!   the merge tail. Without it, `verd` is a single engine
 //! * `--shard-leg` — marker for a process serving as a remote shard leg
-//!   under a router (a plain single-engine `verd`; legs answer
-//!   `ShardQuery` requests). Implies `--shards 1`
+//!   under a router (a plain single-engine `verd`; every single engine
+//!   answers `ShardQuery` requests). Mutually exclusive with `--route`
 //! * `--page-size N` — server-side default page size for queries that
 //!   don't request one (0 = whole result inline)
 //! * `--fast` — fast pipeline profile (smaller sketches)
@@ -41,7 +39,7 @@ use std::sync::Arc;
 
 use ver_core::{Ver, VerConfig};
 use ver_serve::net::{config, Backend, NetConfig, RetryPolicy, Server};
-use ver_serve::{RouterEngine, ServeConfig, ServeEngine, ShardedEngine};
+use ver_serve::{RouterEngine, ServeConfig, ServeEngine};
 use ver_store::catalog::TableCatalog;
 
 struct Args {
@@ -50,7 +48,6 @@ struct Args {
     save_index: bool,
     addr: Option<String>,
     max_conns: Option<usize>,
-    shards: usize,
     route: Option<String>,
     shard_leg: bool,
     page_size: u32,
@@ -60,7 +57,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: verd --data DIR [--index FILE] [--save-index] [--addr HOST:PORT] \
-         [--max-conns N] [--shards N] [--route ADDR,ADDR,...] [--shard-leg] \
+         [--max-conns N] [--route ADDR,ADDR,...] [--shard-leg] \
          [--page-size N] [--fast]"
     );
     std::process::exit(2);
@@ -73,7 +70,6 @@ fn parse_args() -> Args {
         save_index: false,
         addr: None,
         max_conns: None,
-        shards: 1,
         route: None,
         shard_leg: false,
         page_size: 0,
@@ -98,13 +94,6 @@ fn parse_args() -> Args {
                     eprintln!("verd: bad --max-conns {raw:?}");
                     usage()
                 }))
-            }
-            "--shards" => {
-                let raw = value("--shards");
-                args.shards = raw.parse().unwrap_or_else(|_| {
-                    eprintln!("verd: bad --shards {raw:?}");
-                    usage()
-                })
             }
             "--route" => args.route = Some(value("--route")),
             "--shard-leg" => args.shard_leg = true,
@@ -186,12 +175,8 @@ fn main() -> ExitCode {
         eprintln!("verd: --data is required");
         usage();
     };
-    if args.route.is_some() && args.shards != 1 {
-        eprintln!("verd: --route and --shards are mutually exclusive");
-        usage();
-    }
-    if args.shard_leg && (args.route.is_some() || args.shards != 1) {
-        eprintln!("verd: --shard-leg is a plain single-engine verd (no --route / --shards)");
+    if args.shard_leg && args.route.is_some() {
+        eprintln!("verd: --shard-leg is a plain single-engine verd (no --route)");
         usage();
     }
 
@@ -265,7 +250,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    } else if args.shards == 1 {
+    } else {
         let engine = if warm {
             ServeEngine::open(Arc::new(catalog), index_path.unwrap(), serve_config)
         } else {
@@ -288,35 +273,6 @@ fn main() -> ExitCode {
             }
             Err(e) => {
                 eprintln!("verd: building engine: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        let engine = if warm {
-            ShardedEngine::open(
-                Arc::new(catalog),
-                index_path.unwrap(),
-                serve_config,
-                args.shards,
-            )
-        } else {
-            ShardedEngine::build(catalog, serve_config, args.shards)
-        };
-        match engine {
-            Ok(engine) => {
-                if !warm && args.save_index {
-                    if let Some(p) = index_path {
-                        match engine.save_index(p) {
-                            Ok(()) => eprintln!("verd: index saved to {}", p.display()),
-                            Err(e) => eprintln!("verd: saving index: {e} (serving anyway)"),
-                        }
-                    }
-                }
-                eprintln!("verd: sharded backend: {} shards", engine.shard_count());
-                Backend::Sharded(Arc::new(engine))
-            }
-            Err(e) => {
-                eprintln!("verd: building sharded engine: {e}");
                 return ExitCode::FAILURE;
             }
         }

@@ -1,10 +1,11 @@
 //! The serving engine: warm-start, caches, stats, session admission.
 
+use crate::front::Front;
 use crate::session::{Session, SessionId};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use ver_common::budget::QueryBudget;
-use ver_common::cache::{CacheStats, LruCache};
+use ver_common::cache::CacheStats;
 use ver_common::error::{Result, VerError};
 use ver_common::fxhash::FxHashMap;
 use ver_common::sync::lock_unpoisoned;
@@ -115,30 +116,14 @@ pub struct ServeStats {
 pub struct ServeEngine {
     ver: Ver,
     config: ServeConfig,
-    /// Whole-result cache keyed by the canonical query form.
-    results: LruCache<String, Arc<QueryResult>>,
+    /// Result LRU and admission gate.
+    front: Front,
     /// Cross-query search caches (view LRU + score memo).
     caches: SearchCaches,
     sessions: Mutex<FxHashMap<SessionId, Session>>,
     next_session: AtomicU64,
-    queries: AtomicU64,
     sessions_opened: AtomicU64,
     interactions: AtomicU64,
-    in_flight: AtomicU64,
-    rejected: AtomicU64,
-    partial_results: AtomicU64,
-}
-
-/// RAII admission permit: one slot of [`ServeConfig::max_in_flight`],
-/// released on drop — including when the query errors or (behind the
-/// pool's isolation) a worker panicked, so failed queries can never leak
-/// the gate shut.
-struct InFlightPermit<'a>(&'a AtomicU64);
-
-impl Drop for InFlightPermit<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
 }
 
 impl ServeEngine {
@@ -174,34 +159,15 @@ impl ServeEngine {
 
     fn assemble(ver: Ver, config: ServeConfig) -> ServeEngine {
         ServeEngine {
-            results: LruCache::new(config.result_cache_capacity),
+            front: Front::new(&config),
             caches: SearchCaches::new(config.view_cache_capacity),
             sessions: Mutex::new(FxHashMap::default()),
             next_session: AtomicU64::new(0),
-            queries: AtomicU64::new(0),
             sessions_opened: AtomicU64::new(0),
             interactions: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            partial_results: AtomicU64::new(0),
             ver,
             config,
         }
-    }
-
-    /// Claim an admission slot, failing fast with [`VerError::Overloaded`]
-    /// when [`ServeConfig::max_in_flight`] slots are already taken.
-    fn admit(&self) -> Result<InFlightPermit<'_>> {
-        let limit = self.config.max_in_flight;
-        let prev = self.in_flight.fetch_add(1, Ordering::AcqRel);
-        if limit != 0 && prev as usize >= limit {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(VerError::Overloaded(format!(
-                "{limit} queries already in flight"
-            )));
-        }
-        Ok(InFlightPermit(&self.in_flight))
     }
 
     /// Persist this engine's index so future processes can
@@ -247,54 +213,23 @@ impl ServeEngine {
 
     /// [`ServeEngine::query`] under a per-query [`QueryBudget`].
     ///
-    /// The failure model, in order:
-    ///
-    /// 1. **Cache hits are free**: a result-LRU hit is returned before the
-    ///    admission gate or budget are consulted — it does no work.
-    /// 2. **Admission**: a miss claims an in-flight slot or fails fast
-    ///    with [`VerError::Overloaded`].
-    /// 3. **Degradation**: the budget is threaded through every pipeline
-    ///    stage. Deadline exhaustion and isolated worker panics degrade to
-    ///    the best-ranked views completed so far with
-    ///    [`QueryResult::partial`] set — partial results are returned but
-    ///    **never cached**, so a later retry with headroom can produce
-    ///    (and cache) the complete answer.
-    /// 4. **Fallback**: if the pipeline fails outright with
-    ///    [`VerError::DeadlineExceeded`], the result LRU is consulted once
-    ///    more (a concurrent complete run may have landed meanwhile)
-    ///    before the error is surfaced.
-    /// 5. Any other error (I/O, invalid data) propagates typed and
-    ///    untranslated.
+    /// Cache hits are free, misses claim an admission slot or fail fast
+    /// with [`VerError::Overloaded`], partial results are returned but
+    /// never cached, and a hard [`VerError::DeadlineExceeded`] consults the
+    /// result LRU once more before surfacing (the shared front-end
+    /// contract; see ARCHITECTURE.md "Failure model"). The budget is
+    /// threaded through every pipeline stage: deadline exhaustion and
+    /// isolated worker panics degrade to the best-ranked views completed
+    /// so far with [`QueryResult::partial`] set. Any other error (I/O,
+    /// invalid data) propagates typed and untranslated.
     pub fn query_with_budget(
         &self,
         spec: &ViewSpec,
         budget: &QueryBudget,
     ) -> Result<Arc<QueryResult>> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let key = spec_key(spec);
-        if let Some(hit) = self.results.get(&key) {
-            return Ok(hit);
-        }
-        let _permit = self.admit()?;
-        ver_common::fault::hit(ver_common::fault::points::SERVE_QUERY)?;
-        match self.ver.run_budgeted(spec, Some(&self.caches), budget) {
-            Ok(result) => {
-                let result = Arc::new(result);
-                if result.partial {
-                    // Never cache a degraded result: the next query with
-                    // headroom must be able to compute the full answer.
-                    self.partial_results.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.results.insert(key, Arc::clone(&result));
-                }
-                Ok(result)
-            }
-            Err(e @ VerError::DeadlineExceeded(_)) => match self.results.get(&key) {
-                Some(hit) => Ok(hit),
-                None => Err(e),
-            },
-            Err(e) => Err(e),
-        }
+        self.front.query(spec, || {
+            self.ver.run_budgeted(spec, Some(&self.caches), budget)
+        })
     }
 
     /// Run **one scatter leg** of a sharded query on this engine — the
@@ -303,8 +238,8 @@ impl ServeEngine {
     /// result LRU: leg outputs are merged (and cached) at the router, and
     /// caching a raw slice here could never be consulted coherently.
     /// Selection is recomputed per leg — a pure function of the index,
-    /// spec, and config, so the slice is bit-identical to the one an
-    /// in-process scatter would produce (invariant 13).
+    /// spec, and config — so the router's merge is bit-identical to the
+    /// single engine (invariant 13).
     pub fn shard_query(
         &self,
         spec: &ViewSpec,
@@ -312,11 +247,10 @@ impl ServeEngine {
         shard_count: usize,
         budget: &QueryBudget,
     ) -> Result<ver_search::ShardSearchOutput> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let _permit = self.admit()?;
-        ver_common::fault::hit(ver_common::fault::points::SERVE_QUERY)?;
-        self.ver
-            .run_shard_leg(spec, Some(&self.caches), budget, shard, shard_count)
+        self.front.uncached(|| {
+            self.ver
+                .run_shard_leg(spec, Some(&self.caches), budget, shard, shard_count)
+        })
     }
 
     /// Open an interactive QBE session: run (or reuse) the query and
@@ -367,17 +301,13 @@ impl ServeEngine {
     /// Serving statistics snapshot.
     pub fn stats(&self) -> ServeStats {
         ServeStats {
-            queries: self.queries.load(Ordering::Relaxed),
-            result_cache: self.results.stats(),
             view_cache: self.caches.view_stats(),
             score_memo: self.caches.score_stats(),
             cached_views: self.caches.cached_views(),
             sessions_opened: self.sessions_opened.load(Ordering::Relaxed),
             sessions_active: self.active_sessions(),
             interactions: self.interactions.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            partial_results: self.partial_results.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed) as usize,
+            ..self.front.stats()
         }
     }
 }
@@ -636,7 +566,7 @@ mod tests {
     fn admission_gate_fails_fast_when_full() {
         let engine = ServeEngine::build(catalog(), config().with_max_in_flight(1)).unwrap();
         // Claim the only slot by hand, exactly as an executing miss would.
-        let permit = engine.admit().unwrap();
+        let permit = engine.front.admit().unwrap();
         match engine.query(&spec()) {
             Err(VerError::Overloaded(m)) => assert!(m.contains("1 queries"), "msg: {m}"),
             other => panic!("expected Overloaded, got {other:?}"),
@@ -649,7 +579,7 @@ mod tests {
         assert!(!full.views.is_empty());
         assert_eq!(engine.stats().in_flight, 0);
         // Cache hits bypass the gate entirely.
-        let _block = engine.admit().unwrap();
+        let _block = engine.front.admit().unwrap();
         let hit = engine.query(&spec()).unwrap();
         assert!(Arc::ptr_eq(&full, &hit), "hit must bypass the full gate");
     }

@@ -1,8 +1,12 @@
 //! `ver-serve` — the long-lived serving layer: **many users, one index**.
 //!
 //! Everything upstream of this crate is single-shot: build an index, answer
-//! one query, exit. A deployment instead keeps one [`ServeEngine`] alive
-//! and pushes every user's queries and interactive sessions through it:
+//! one query, exit. A deployment instead keeps one engine alive and pushes
+//! every user's queries through it: a [`ServeEngine`] answering in
+//! process, or a [`RouterEngine`] scattering each query over remote
+//! shard-leg `verd` processes ([`remote`]). Both keep one front-end
+//! contract — result LRU, fail-fast admission gate, partial results never
+//! cached — and the single engine adds:
 //!
 //! * **warm-start** — the engine loads a [persisted discovery
 //!   index](ver_index::persist) instead of re-profiling and re-sketching
@@ -68,12 +72,11 @@
 //! anything on the query path.
 
 pub mod engine;
+mod front;
 pub mod net;
 pub mod remote;
 pub mod session;
-pub mod sharded;
 
 pub use engine::{ServeConfig, ServeEngine, ServeStats};
-pub use remote::{RemoteLeg, RouterEngine, RouterLegStats};
+pub use remote::{RouterEngine, RouterLegStats};
 pub use session::SessionId;
-pub use sharded::{default_shards, LocalLeg, ShardBackend, ShardStats, ShardedEngine};

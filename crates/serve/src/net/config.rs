@@ -1,10 +1,10 @@
 //! Server configuration and its environment knobs.
 //!
 //! `VER_ADDR` and `VER_MAX_CONNS` follow the same warn-once-and-fall-back
-//! contract as `VER_THREADS` / `VER_SHARDS` / `VER_SIMD`: a malformed
-//! value is *never* fatal — it warns on stderr once per process and the
-//! default takes over. A typo'd knob must not take the server down (and,
-//! per invariant 11, can never change results either way).
+//! contract as `VER_THREADS` / `VER_SIMD`: a malformed value is *never*
+//! fatal — it warns on stderr once per process and the default takes
+//! over. A typo'd knob must not take the server down (and, as a pure
+//! resource knob, can never change results either way).
 
 use std::net::SocketAddr;
 use std::time::Duration;

@@ -1,6 +1,6 @@
 //! A resilient wrapper around [`Client`] for remote scatter legs.
 //!
-//! A remote shard leg can fail in ways the in-process scatter never sees:
+//! A remote shard leg can fail in ways an in-process query never sees:
 //! the peer process dies mid-frame, the network stalls, a connect is
 //! refused while the leg restarts. This module gives the router one
 //! envelope for all of it:
@@ -26,7 +26,7 @@
 //!
 //! What the envelope does **not** decide: whether a failed leg degrades
 //! the query to a partial result or fails it — that is the router's merge
-//! contract (`ShardBackend::degradable`, ARCHITECTURE.md "Failure model").
+//! contract (`remote::degradable`, ARCHITECTURE.md "Failure model").
 
 use std::net::SocketAddr;
 use std::time::{Duration, Instant};

@@ -37,16 +37,15 @@ use super::wire::{
     WireRouterLeg, WireShardOutput, WireView, PROTOCOL_VERSION,
 };
 use crate::remote::RouterEngine;
-use crate::{ServeEngine, ServeStats, ShardedEngine};
+use crate::{ServeEngine, ServeStats};
 
-/// The engine a server fronts: a single [`ServeEngine`], an in-process
-/// [`ShardedEngine`], or a [`RouterEngine`] scattering to remote shard
-/// `verd`s — same wire surface every way (scatter/gather is invisible to
-/// clients, as invariants 11 and 13 require).
+/// The engine a server fronts: a single [`ServeEngine`], or a
+/// [`RouterEngine`] scattering to remote shard `verd`s — same wire surface
+/// either way (scatter/gather is invisible to clients, as invariant 13
+/// requires).
 #[derive(Clone)]
 pub enum Backend {
     Single(Arc<ServeEngine>),
-    Sharded(Arc<ShardedEngine>),
     Router(Arc<RouterEngine>),
 }
 
@@ -54,15 +53,14 @@ impl Backend {
     fn query_with_budget(&self, spec: &ViewSpec, budget: &QueryBudget) -> Result<Arc<QueryResult>> {
         match self {
             Backend::Single(e) => e.query_with_budget(spec, budget),
-            Backend::Sharded(e) => e.query_with_budget(spec, budget),
             Backend::Router(e) => e.query_with_budget(spec, budget),
         }
     }
 
     /// Serve one scatter leg (`ShardQuery`). Only a single engine serves
-    /// legs: a sharded or routing backend answering a leg request would
-    /// nest scatters, which the deployment shape rules out — the router
-    /// fans out to *shard-serving* `verd`s, never to another router.
+    /// legs: a router answering a leg request would nest scatters, which
+    /// the deployment shape rules out — the router fans out to
+    /// *shard-serving* `verd`s, never to another router.
     fn shard_query(
         &self,
         spec: &ViewSpec,
@@ -72,9 +70,8 @@ impl Backend {
     ) -> Result<ver_search::ShardSearchOutput> {
         match self {
             Backend::Single(e) => e.shard_query(spec, shard, shard_count, budget),
-            Backend::Sharded(_) | Backend::Router(_) => Err(VerError::InvalidQuery(
-                "this verd is not a shard leg (sharded/router backends do not serve ShardQuery)"
-                    .into(),
+            Backend::Router(_) => Err(VerError::InvalidQuery(
+                "this verd is not a shard leg (router backends do not serve ShardQuery)".into(),
             )),
         }
     }
@@ -82,7 +79,6 @@ impl Backend {
     fn stats(&self) -> ServeStats {
         match self {
             Backend::Single(e) => e.stats(),
-            Backend::Sharded(e) => e.stats(),
             Backend::Router(e) => e.stats(),
         }
     }
@@ -90,7 +86,7 @@ impl Backend {
     /// Per-leg router health — empty for non-router backends.
     fn router_stats(&self) -> Vec<WireRouterLeg> {
         match self {
-            Backend::Single(_) | Backend::Sharded(_) => Vec::new(),
+            Backend::Single(_) => Vec::new(),
             Backend::Router(e) => e
                 .leg_stats()
                 .into_iter()
@@ -109,7 +105,6 @@ impl Backend {
     fn health(&self) -> (u64, u64, u32) {
         let (catalog, shards) = match self {
             Backend::Single(e) => (e.catalog_shared(), 1),
-            Backend::Sharded(e) => (e.catalog_shared(), e.shard_count() as u32),
             Backend::Router(e) => (e.ver().catalog_shared(), e.shard_count() as u32),
         };
         (

@@ -552,8 +552,8 @@ fn dtype_from_tag(t: u8, what: &str) -> Result<ver_common::value::DataType> {
 /// One view of a shard leg's output, shipped with its **rank keys**
 /// (score, canonical edge form, projection) and *full-fidelity* view data
 /// — schema metadata, provenance, rows — so the router can reconstruct
-/// the exact `ShardView` the in-process scatter would have produced and
-/// merge legs bit-identically (invariant 13).
+/// the exact `ShardView` the leg produced and merge legs bit-identically
+/// (invariant 13).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireShardView {
     /// Rank key, primary: candidate join score as IEEE-754 bits.
@@ -991,7 +991,7 @@ fn read_cache_stats(r: &mut Reader<'_>, what: &str) -> Result<ver_common::cache:
 }
 
 /// Health of one remote scatter leg, as the router's `Stats` reply
-/// reports it. Single and sharded backends reply with an empty leg list.
+/// reports it. A single-engine backend replies with an empty leg list.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WireRouterLeg {
     /// The leg's shard-server address, as configured on the router.

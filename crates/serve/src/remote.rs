@@ -1,41 +1,37 @@
 //! Multi-process sharded serving: remote scatter legs and the router.
 //!
-//! [`ShardedEngine`](crate::ShardedEngine) scatters over in-process
-//! [`LocalLeg`](crate::LocalLeg)s; this module promotes those legs to
-//! **separate `verd` processes**. A [`RemoteLeg`] implements the same
-//! [`ShardBackend`] contract by speaking the `verd` wire protocol
-//! (`ShardQuery` → `ShardOutput`) through the
+//! A [`RouterEngine`] scatters each query over **separate `verd`
+//! processes**, one remote leg per shard. A leg speaks the `verd` wire
+//! protocol (`ShardQuery` → `ShardOutput`) through the
 //! [`ResilientClient`](crate::net::resilient) envelope — per-attempt
 //! timeouts, reconnect-on-error, jittered backoff, per-leg circuit
-//! breaker. A [`RouterEngine`] fans a query over one remote leg per shard
-//! and finishes it centrally ([`Ver::gather_shard_outputs`]).
+//! breaker — and the router finishes the query centrally
+//! ([`Ver::gather_shard_outputs`]).
 //!
 //! **Determinism invariant 13.** With every leg healthy, the router's
-//! answer is bit-identical to the in-process [`ShardedEngine`](crate::ShardedEngine)
-//! at the same shard count — and therefore to the single engine
-//! (invariant 11): each leg runs COLUMN-SELECTION itself (a pure function
-//! of index + spec + config, so every process computes the same
-//! selection), ships its slice whole over the wire, and the router merges
-//! through the same content-based total order. Pinned against live
-//! processes in `tests/chaos.rs`.
+//! answer is bit-identical to the single engine at every leg count: each
+//! leg runs COLUMN-SELECTION itself (a pure function of index + spec +
+//! config, so every process computes the same selection), ships its slice
+//! ([`Ver::run_shard_leg`]) whole over the wire, and the router merges
+//! through the same content-based total order (invariant 11). Pinned
+//! against live processes in `tests/chaos.rs`.
 //!
 //! **Failure model.** A leg that cannot answer — process killed
 //! mid-query, connection refused while it restarts, circuit open, retry
-//! budget exhausted, deadline passed — is *dropped at the gather* and the
-//! merged result is flagged partial, exactly the PR 7/8 contract: a shard
-//! failure is never an error, and partial results are never cached. The
-//! query budget is deducted before every remote attempt, so the wire
-//! carries remaining (not original) milliseconds. Per-leg health is
-//! visible in [`RouterEngine::leg_stats`] and on the `Stats` wire reply.
+//! budget exhausted, deadline passed, handler panicked — is *dropped at
+//! the gather* and the merged result is flagged partial: a leg failure is
+//! never an error, and partial results are never cached. The query
+//! budget is deducted before every remote attempt, so the wire carries
+//! remaining (not original) milliseconds. Per-leg health is visible in
+//! [`RouterEngine::leg_stats`] and on the `Stats` wire reply.
 
-use crate::engine::{spec_key, ServeConfig, ServeStats};
+use crate::engine::{ServeConfig, ServeStats};
+use crate::front::Front;
 use crate::net::resilient::{BreakerState, ResilientClient, RetryPolicy};
-use crate::sharded::{scatter_over_backends, InFlightPermit, ShardBackend};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use ver_common::budget::QueryBudget;
-use ver_common::cache::LruCache;
 use ver_common::error::{Result, VerError};
 use ver_common::sync::lock_unpoisoned;
 use ver_core::{QueryResult, Ver};
@@ -56,26 +52,26 @@ pub struct RouterLegStats {
     pub retries: u64,
     /// Attempts that failed at the transport level.
     pub failures: u64,
-    /// Queries in which this leg was dropped and the merge degraded.
+    /// Queries in which this leg was dropped at the gather.
     pub failovers: u64,
     /// Circuit-breaker state at snapshot time.
     pub breaker: BreakerState,
 }
 
-/// A [`ShardBackend`] that runs its leg on a remote shard-serving `verd`
-/// through the resilient-client envelope.
+/// One scatter leg, run on a remote shard-serving `verd` through the
+/// resilient-client envelope.
 ///
 /// The wrapped client is behind a `Mutex` because the wire protocol is
 /// strictly request→response per connection; the scatter runs each leg on
 /// its own pool worker, so legs never contend on one another's locks.
-pub struct RemoteLeg {
+struct RemoteLeg {
     addr: SocketAddr,
     client: Mutex<ResilientClient>,
     failovers: AtomicU64,
 }
 
 impl RemoteLeg {
-    pub fn new(addr: SocketAddr, policy: RetryPolicy) -> RemoteLeg {
+    fn new(addr: SocketAddr, policy: RetryPolicy) -> RemoteLeg {
         RemoteLeg {
             addr,
             client: Mutex::new(ResilientClient::new(addr, policy)),
@@ -83,17 +79,8 @@ impl RemoteLeg {
         }
     }
 
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Count one query in which this leg was dropped at the gather.
-    fn note_failover(&self) {
-        self.failovers.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Current health counters and breaker state.
-    pub fn stats(&self) -> RouterLegStats {
+    fn stats(&self) -> RouterLegStats {
         let client = lock_unpoisoned(&self.client);
         let c = client.counters();
         RouterLegStats {
@@ -105,13 +92,8 @@ impl RemoteLeg {
             breaker: client.breaker_state(),
         }
     }
-}
 
-impl ShardBackend for RemoteLeg {
-    fn describe(&self) -> String {
-        self.addr.to_string()
-    }
-
+    /// Run shard `shard` of `shard_count` on the remote leg under `budget`.
     fn leg_query(
         &self,
         spec: &ViewSpec,
@@ -133,41 +115,71 @@ impl ShardBackend for RemoteLeg {
         }
         wire.into_output()
     }
+}
 
-    /// Remote legs degrade on everything the local scatter drops **plus**
-    /// transport-level failures: a dead or desynced or shedding peer costs
-    /// its leg, never the query (the merge is flagged partial instead).
-    fn degradable(&self, e: &VerError) -> bool {
-        matches!(
-            e,
-            VerError::DeadlineExceeded(_)
-                | VerError::Internal(_)
-                | VerError::Io(_)
-                | VerError::Protocol(_)
-                | VerError::Overloaded(_)
-        )
+/// Whether a leg error **degrades** the query (the leg is dropped at the
+/// gather and the merge is flagged partial) rather than failing it: a
+/// worker panic or an un-degraded deadline, and every transport-level
+/// failure — a dead, desynced or shedding peer costs its leg, never the
+/// query.
+fn degradable(e: &VerError) -> bool {
+    matches!(
+        e,
+        VerError::DeadlineExceeded(_)
+            | VerError::Internal(_)
+            | VerError::Io(_)
+            | VerError::Protocol(_)
+            | VerError::Overloaded(_)
+    )
+}
+
+/// Scatter `spec` over one leg per shard and classify each answer: a leg
+/// whose error is [`degradable`] is dropped (and counted as a failover);
+/// any other error fails the query. Returns the surviving outputs and
+/// whether every leg survived.
+fn scatter(
+    legs: &[RemoteLeg],
+    spec: &ViewSpec,
+    budget: &QueryBudget,
+) -> Result<(Vec<ShardSearchOutput>, bool)> {
+    let shard_count = legs.len();
+    // Fan out wide: legs are network-bound, so give each its own worker
+    // regardless of the local compute budget. A panicking worker arrives
+    // here as `VerError::Internal`.
+    let pool = ver_common::pool::ThreadPool::new(shard_count);
+    let shard_ids: Vec<usize> = (0..shard_count).collect();
+    let answers = pool.try_par_map(&shard_ids, |&shard| {
+        legs[shard].leg_query(spec, shard, shard_count, budget)
+    });
+    let mut outputs = Vec::with_capacity(shard_count);
+    let mut complete = true;
+    for (leg, answer) in legs.iter().zip(answers) {
+        match answer {
+            Ok(out) => outputs.push(out),
+            Err(e) if degradable(&e) => {
+                complete = false;
+                leg.failovers.fetch_add(1, Ordering::Relaxed);
+            }
+            Err(e) => return Err(e),
+        }
     }
+    Ok((outputs, complete))
 }
 
 /// The scatter/gather router over remote legs — `verd --route`.
 ///
-/// Presents the [`ShardedEngine`](crate::ShardedEngine) query surface
-/// (same admission gate, result LRU, partial-never-cached semantics) but
-/// every result-cache miss fans out to one [`RemoteLeg`] per shard. The
-/// router holds its own catalog + index (the same artifacts the legs
-/// serve) for COLUMN-SELECTION and the central finish of every query —
-/// merge, distillation, ranking.
+/// Presents the [`ServeEngine`](crate::ServeEngine) query contract (same
+/// admission gate, result LRU, partial-never-cached semantics) but every
+/// result-cache miss fans out to one remote leg per shard. The router
+/// holds its own catalog + index (the same artifacts the legs serve) for
+/// COLUMN-SELECTION and the central finish of every query — merge,
+/// distillation, ranking.
 pub struct RouterEngine {
     ver: Ver,
     config: ServeConfig,
-    legs: Vec<Arc<RemoteLeg>>,
-    /// The same legs, pre-upcast for the shared scatter.
-    backends: Vec<Arc<dyn ShardBackend>>,
-    results: LruCache<String, Arc<QueryResult>>,
-    queries: AtomicU64,
-    in_flight: AtomicU64,
-    rejected: AtomicU64,
-    partial_results: AtomicU64,
+    legs: Vec<RemoteLeg>,
+    /// Result LRU and admission gate.
+    front: Front,
 }
 
 impl RouterEngine {
@@ -184,24 +196,11 @@ impl RouterEngine {
                 "router mode needs at least one shard-leg address".into(),
             ));
         }
-        let legs: Vec<Arc<RemoteLeg>> = addrs
-            .iter()
-            .map(|&a| Arc::new(RemoteLeg::new(a, policy)))
-            .collect();
-        let backends = legs
-            .iter()
-            .map(|l| Arc::clone(l) as Arc<dyn ShardBackend>)
-            .collect();
         Ok(RouterEngine {
-            results: LruCache::new(config.result_cache_capacity),
-            queries: AtomicU64::new(0),
-            in_flight: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            partial_results: AtomicU64::new(0),
+            front: Front::new(&config),
+            legs: addrs.iter().map(|&a| RemoteLeg::new(a, policy)).collect(),
             ver,
             config,
-            legs,
-            backends,
         })
     }
 
@@ -232,19 +231,6 @@ impl RouterEngine {
         &self.config
     }
 
-    fn admit(&self) -> Result<InFlightPermit<'_>> {
-        let limit = self.config.max_in_flight;
-        let prev = self.in_flight.fetch_add(1, Ordering::AcqRel);
-        if limit != 0 && prev as usize >= limit {
-            self.in_flight.fetch_sub(1, Ordering::AcqRel);
-            self.rejected.fetch_add(1, Ordering::Relaxed);
-            return Err(VerError::Overloaded(format!(
-                "{limit} queries already in flight"
-            )));
-        }
-        Ok(InFlightPermit(&self.in_flight))
-    }
-
     /// Answer a view specification by scattering over the remote legs.
     /// Unbudgeted shorthand for [`query_with_budget`](Self::query_with_budget).
     pub fn query(&self, spec: &ViewSpec) -> Result<Arc<QueryResult>> {
@@ -252,55 +238,21 @@ impl RouterEngine {
     }
 
     /// [`query`](Self::query) under a per-query [`QueryBudget`] — the
-    /// [`ShardedEngine`](crate::ShardedEngine) failure model, with remote
-    /// legs: cache hits are free, misses claim an admission slot or fail
-    /// fast, a leg the envelope cannot reach degrades the merge to a
-    /// partial (never-cached) result, a hard deadline consults the LRU
-    /// once more before surfacing, and any other error propagates typed.
+    /// [`ServeEngine`](crate::ServeEngine) contract, with remote legs:
+    /// cache hits are free, misses claim an admission slot or fail fast, a
+    /// leg the envelope cannot reach degrades the merge to a partial
+    /// (never-cached) result, a hard deadline consults the LRU once more
+    /// before surfacing, and any other error propagates typed.
     pub fn query_with_budget(
         &self,
         spec: &ViewSpec,
         budget: &QueryBudget,
     ) -> Result<Arc<QueryResult>> {
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let key = spec_key(spec);
-        if let Some(hit) = self.results.get(&key) {
-            return Ok(hit);
-        }
-        let _permit = self.admit()?;
-        ver_common::fault::hit(ver_common::fault::points::SERVE_QUERY)?;
-        // Fan out wide: legs are network-bound, so give each its own
-        // worker regardless of the local compute budget.
-        let scattered = scatter_over_backends(&self.backends, spec, budget, self.legs.len())
-            .and_then(|(outputs, legs, complete)| {
-                self.ver
-                    .gather_shard_outputs(spec, budget, outputs, complete)
-                    .map(|result| (result, legs))
-            });
-        match scattered {
-            Ok((result, legs)) => {
-                for leg in legs {
-                    if !leg.ok {
-                        self.legs[leg.shard].note_failover();
-                    }
-                }
-                let result = Arc::new(result);
-                if result.partial {
-                    // Never cache a degraded result: once the dead leg
-                    // restarts, the next query must recompute the full,
-                    // byte-identical answer.
-                    self.partial_results.fetch_add(1, Ordering::Relaxed);
-                } else {
-                    self.results.insert(key, Arc::clone(&result));
-                }
-                Ok(result)
-            }
-            Err(e @ VerError::DeadlineExceeded(_)) => match self.results.get(&key) {
-                Some(hit) => Ok(hit),
-                None => Err(e),
-            },
-            Err(e) => Err(e),
-        }
+        self.front.query(spec, || {
+            let (outputs, complete) = scatter(&self.legs, spec, budget)?;
+            self.ver
+                .gather_shard_outputs(spec, budget, outputs, complete)
+        })
     }
 
     /// Serving statistics in the common [`ServeStats`] shape. The router
@@ -308,19 +260,7 @@ impl RouterEngine {
     /// disabled-cache zero (sessions likewise live on the single-engine
     /// surface only).
     pub fn stats(&self) -> ServeStats {
-        ServeStats {
-            queries: self.queries.load(Ordering::Relaxed),
-            result_cache: self.results.stats(),
-            view_cache: Default::default(),
-            score_memo: Default::default(),
-            cached_views: 0,
-            sessions_opened: 0,
-            sessions_active: 0,
-            interactions: 0,
-            rejected: self.rejected.load(Ordering::Relaxed),
-            partial_results: self.partial_results.load(Ordering::Relaxed),
-            in_flight: self.in_flight.load(Ordering::Relaxed) as usize,
-        }
+        self.front.stats()
     }
 
     /// Per-leg health, indexed by shard id.

@@ -1,6 +1,6 @@
 //! Regression: malformed `VER_ADDR` / `VER_MAX_CONNS` values must warn
 //! once and fall back — never panic, never take the server down. Same
-//! contract as `VER_THREADS` / `VER_SHARDS` / `VER_SIMD` (PR 8).
+//! contract as `VER_THREADS` / `VER_SIMD`.
 //!
 //! This lives in its own integration-test binary because the knobs
 //! resolve once per process (`OnceLock`): the environment must be set

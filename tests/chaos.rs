@@ -251,78 +251,95 @@ fn slow_stage_under_deadline_degrades_instead_of_hanging() {
     assert_eq!(stats.result_cache.hits, 0, "partial result was not cached");
 }
 
+/// A router over two shard-leg servers in this process, on loopback. The
+/// legs share this process's fault registry, so a fault armed here fires
+/// inside a leg's handler. Leg calls get no retries: a panicking leg
+/// handler drops its connection, which the client would otherwise retry
+/// as `Io` and absorb.
+fn loopback_router() -> (Vec<ServerHandle>, RouterEngine) {
+    let legs: Vec<ServerHandle> = (0..2).map(|_| spawn_net(NetConfig::default())).collect();
+    let addrs: Vec<SocketAddr> = legs.iter().map(|h| h.addr()).collect();
+    let policy = RetryPolicy {
+        retries: 0,
+        ..RetryPolicy::default()
+    };
+    let router =
+        RouterEngine::warm_start(catalog(), index(), ServeConfig::default(), &addrs, policy)
+            .expect("router warm start");
+    (legs, router)
+}
+
 #[test]
 fn shard_panic_degrades_the_gather_to_partial_never_an_error() {
     let _g = guard();
     fault::reset();
     let (name, spec) = &workload()[0];
-
-    // Baseline: the sharded engine answers this spec completely, and
-    // bit-identically to the single-engine run (invariant 11).
     let single = engine().query(spec).expect("single-engine baseline");
-    let sharded =
-        ver_serve::ShardedEngine::warm_start(catalog(), index(), ServeConfig::default(), 2)
-            .expect("sharded warm start");
-    let clean = sharded.query(spec).expect("clean sharded query");
-    assert!(!clean.partial);
-    let expected = render(name, &clean);
-    assert_eq!(expected, render(name, &single), "sharded != single engine");
+    let expected = render(name, &single);
 
     // One whole scatter leg panics (the fault point sits before the
-    // per-candidate isolation). The gather drops that shard and returns
-    // the healthy shards' views, flagged partial — never an error.
-    let sharded =
-        ver_serve::ShardedEngine::warm_start(catalog(), index(), ServeConfig::default(), 2)
-            .expect("sharded warm start");
+    // per-candidate isolation), which costs that leg's connection. The
+    // gather drops the leg and returns the healthy leg's views, flagged
+    // partial — never an error.
+    let (_legs, router) = loopback_router();
     fault::arm_times(points::SEARCH_SHARD, FaultKind::Panic, 1);
-    let degraded = sharded
+    let degraded = router
         .query(spec)
-        .expect("a panicked shard must not fail the query");
-    assert!(
-        degraded.partial,
-        "dropped shard must flag the merge partial"
-    );
-    assert!(
-        degraded.views.len() <= clean.views.len(),
-        "a dropped shard cannot add views"
-    );
-    assert_eq!(sharded.stats().partial_results, 1);
-    let failed_legs: u64 = sharded.shard_stats().iter().map(|s| s.failed).sum();
-    assert_eq!(failed_legs, 1, "exactly one leg was dropped");
+        .expect("a panicked leg must not fail the query");
     fault::reset();
+    assert!(degraded.partial, "dropped leg must flag the merge partial");
+    assert!(
+        degraded.views.len() <= single.views.len(),
+        "a dropped leg cannot add views"
+    );
+    assert_eq!(router.stats().partial_results, 1);
+    let mut failovers: Vec<u64> = router.leg_stats().iter().map(|l| l.failovers).collect();
+    failovers.sort_unstable();
+    assert_eq!(
+        failovers,
+        [0, 1],
+        "exactly the faulted leg was dropped, once"
+    );
 
     // Partial results are never cached: the retry recomputes completely
-    // and matches the clean run byte-for-byte.
-    let retry = sharded.query(spec).expect("retry");
+    // and matches the single engine byte-for-byte.
+    let retry = router.query(spec).expect("retry");
     assert!(!retry.partial, "fault cleared, retry must be complete");
     assert_eq!(render(name, &retry), expected);
-    assert_eq!(sharded.stats().result_cache.hits, 0, "partial not cached");
+    assert_eq!(router.stats().result_cache.hits, 0, "partial not cached");
 }
 
 #[test]
 fn shard_deadline_trips_degrade_the_gather_to_partial() {
     let _g = guard();
     fault::reset();
-    let (_, spec) = &workload()[0];
-    let sharded =
-        ver_serve::ShardedEngine::warm_start(catalog(), index(), ServeConfig::default(), 2)
-            .expect("sharded warm start");
+    let (name, spec) = &workload()[0];
+    let expected = render(name, &engine().query(spec).expect("single-engine baseline"));
+    let (_legs, router) = loopback_router();
 
-    // Every candidate score stalls 25ms against a 5ms budget. Both legs
-    // race the same absolute deadline, trip it, and degrade inside their
-    // shards; the merge is partial, the query never hangs or errors.
-    fault::arm(points::SEARCH_SCORE, FaultKind::Slow(25));
-    let budget = QueryBudget::none().with_timeout(Duration::from_millis(5));
-    let result = sharded
+    // Each leg stalls 150ms on entry against a 100ms budget. The router
+    // ships the remaining budget to both legs well inside it; each leg
+    // then trips the deadline and degrades inside its shard, so the merge
+    // is partial and no leg is dropped. The query never hangs or errors.
+    fault::arm(points::SEARCH_SHARD, FaultKind::Slow(150));
+    let budget = QueryBudget::none().with_timeout(Duration::from_millis(100));
+    let result = router
         .query_with_budget(spec, &budget)
         .expect("deadline exhaustion must degrade, not error");
-    assert!(result.partial, "deadline-starved scatter must be partial");
     fault::reset();
+    assert!(result.partial, "deadline-starved scatter must be partial");
+    for leg in router.leg_stats() {
+        assert_eq!(
+            leg.failovers, 0,
+            "a deadline degrades a leg, never drops it: {leg:?}"
+        );
+    }
 
-    // Unbudgeted retry: complete, and only now cached.
-    let retry = sharded.query(spec).expect("retry");
+    // Unbudgeted retry: complete, byte-identical, and only now cached.
+    let retry = router.query(spec).expect("retry");
     assert!(!retry.partial);
-    let stats = sharded.stats();
+    assert_eq!(render(name, &retry), expected);
+    let stats = router.stats();
     assert_eq!(stats.partial_results, 1);
     assert_eq!(stats.result_cache.hits, 0, "partial result was not cached");
 }
@@ -529,8 +546,8 @@ fn injected_net_faults_each_cost_exactly_one_connection() {
 // Process-level chaos: remote shard legs as real `verd` child processes.
 // The router's failure domain is a whole OS process — `kill -9` included.
 // Invariant 13: with every leg healthy, a router fanning the scatter out
-// to remote `verd` processes answers byte-identically to the in-process
-// sharded engine and the single engine; with a leg dead, the merge
+// to remote `verd` processes answers byte-identically to the single
+// engine; with a leg dead, the merge
 // degrades to `partial: true` (never an error, never cached) and returns
 // to byte-identical answers the moment the leg is back.
 // ---------------------------------------------------------------------------
@@ -736,21 +753,6 @@ fn router_over_live_verd_processes_matches_the_single_engine() {
     // it is asked for — the slice is in the request, not the process).
     let legs: Vec<LegProcess> = (0..4).map(|_| spawn_leg("127.0.0.1:0", &[])).collect();
     let addrs: Vec<SocketAddr> = legs.iter().map(|l| l.addr).collect();
-
-    // Cross-check the reference: the in-process sharded engine over the
-    // same reloaded corpus agrees with the single engine (invariant 11).
-    let sharded = ver_serve::ShardedEngine::warm_start(
-        Arc::clone(&fix.catalog),
-        Arc::clone(&fix.index),
-        ServeConfig::default(),
-        2,
-    )
-    .expect("sharded warm start");
-    assert_eq!(
-        snapshot_with(&fix.queries, |spec| sharded.query(spec)),
-        fix.expected,
-        "in-process sharded engine diverged from the single engine"
-    );
 
     for n in [1usize, 2, 4] {
         let router = router_over(&addrs[..n]);

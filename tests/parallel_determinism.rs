@@ -164,10 +164,10 @@ fn online_path_is_identical_across_thread_counts() {
 
 #[test]
 fn sharded_scatter_is_identical_across_shard_and_thread_counts() {
-    // Invariant 11: scattering a query over N logical shards and merging
-    // through the content-based rank order reproduces the single-engine
-    // result bit-for-bit — for every shard count, at every thread count,
-    // and through the shard-index partition/merge roundtrip.
+    // Invariant 11: N scatter legs (`run_shard_leg`) merged by
+    // `gather_shard_outputs` through the content-based rank order
+    // reproduce the single-engine result bit-for-bit — for every leg
+    // count, at every thread count.
     let cat = corpus();
     let gts = wdc_ground_truths(&cat).expect("wdc ground truths");
     let build = |threads: usize| {
@@ -176,17 +176,17 @@ fn sharded_scatter_is_identical_across_shard_and_thread_counts() {
     let seq = build(1);
     let auto = build(0);
 
-    // The index partition itself roundtrips on this corpus too.
-    for count in [2usize, 4] {
-        let shards = ver_index::partition_index(seq.index(), count);
-        let merged = ver_index::merge_shards(&shards).expect("merge");
-        assert!(
-            merged.same_contents(seq.index()),
-            "index partition/merge diverged at {count} shards"
-        );
-    }
-
     let budget = ver_common::budget::QueryBudget::none();
+    let scatter = |ver: &Ver, spec: &ViewSpec, count: usize| {
+        let outputs: Vec<_> = (0..count)
+            .map(|shard| {
+                ver.run_shard_leg(spec, None, &budget, shard, count)
+                    .expect("leg run")
+            })
+            .collect();
+        ver.gather_shard_outputs(spec, &budget, outputs, true)
+            .expect("gather")
+    };
     let mut compared = 0;
     for (qi, gt) in gts.iter().enumerate().take(4) {
         let Ok(query) = generate_noisy_query(&cat, gt, NoiseLevel::Zero, 3, 7 + qi as u64) else {
@@ -195,18 +195,14 @@ fn sharded_scatter_is_identical_across_shard_and_thread_counts() {
         let spec = ViewSpec::Qbe(query);
         let single = seq.run(&spec).expect("single-engine run");
         for count in [1usize, 2, 4] {
-            let sharded = seq
-                .run_sharded(&spec, None, &budget, count)
-                .expect("sharded run");
+            let sharded = scatter(&seq, &spec, count);
             assert!(!sharded.partial, "{}: shards={count} partial", gt.name);
             assert_same_result(
                 &sharded,
                 &single,
                 &format!("{} shards={count} vs single", gt.name),
             );
-            let sharded_auto = auto
-                .run_sharded(&spec, None, &budget, count)
-                .expect("sharded run, auto threads");
+            let sharded_auto = scatter(&auto, &spec, count);
             assert_same_result(
                 &sharded_auto,
                 &single,

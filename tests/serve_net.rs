@@ -6,9 +6,8 @@
 //! TCP server + blocking client on an ephemeral port and pins the
 //! client-side rendering against `tests/golden/online_snapshot.txt` —
 //! cold caches, warm caches, 4 concurrent clients, paginated fetches
-//! reassembled page by page, and a 2-shard scatter/gather backend. The
-//! CI `net` job additionally re-runs this whole file under
-//! `VER_SHARDS=2`.
+//! reassembled page by page, and a router scattering over 1, 2 and 4
+//! remote legs.
 
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
@@ -17,7 +16,7 @@ use ver_index::persist::save_index;
 use ver_index::{build_index, DiscoveryIndex, IndexConfig};
 use ver_qbe::ViewSpec;
 use ver_serve::net::{Backend, Client, NetConfig, RetryPolicy, Server, ServerHandle};
-use ver_serve::{RouterEngine, ServeConfig, ServeEngine, ShardedEngine};
+use ver_serve::{RouterEngine, ServeConfig, ServeEngine};
 use ver_store::catalog::TableCatalog;
 
 fn golden_expected() -> String {
@@ -187,25 +186,6 @@ fn four_concurrent_clients_see_identical_golden_bytes() {
     assert_eq!(stats.protocol_errors, 0);
 }
 
-#[test]
-fn sharded_backend_is_wire_identical() {
-    // Scatter/gather behind the socket: same bytes as the single engine
-    // (invariant 11 extended over the wire).
-    let engine = ShardedEngine::warm_start(catalog(), index(), ServeConfig::default(), 2)
-        .expect("sharded warm start");
-    assert_eq!(engine.shard_count(), 2);
-    let handle = spawn_with(Backend::Sharded(Arc::new(engine)), NetConfig::default());
-    let mut client = Client::connect(handle.addr()).expect("connect");
-
-    let snap = wire_snapshot(&mut client, &queries(), 0);
-    assert_eq!(
-        snap,
-        golden_expected(),
-        "sharded over-the-wire result diverged from the golden snapshot"
-    );
-    assert_eq!(client.health().expect("health").shards, 2);
-}
-
 /// Spawn `n` shard-leg servers (each a plain single-engine `verd`
 /// backend answering `ShardQuery`) and a router engine fanning out to
 /// them over real sockets. Returns the leg handles (kept alive) and the
@@ -233,9 +213,8 @@ fn spawn_router(n: usize) -> (Vec<ServerHandle>, RouterEngine) {
 #[test]
 fn router_over_remote_legs_is_wire_identical_at_every_shard_count() {
     // Invariant 13: a router fanning the scatter out to *remote* shard
-    // legs over TCP answers byte-identically to the in-process sharded
-    // engine — and therefore to the single engine and the golden
-    // snapshot — at shard counts 1, 2, and 4.
+    // legs over TCP answers byte-identically to the single engine — and
+    // therefore to the golden snapshot — at shard counts 1, 2, and 4.
     let expected = golden_expected();
     for n in [1usize, 2, 4] {
         let (legs, router) = spawn_router(n);
