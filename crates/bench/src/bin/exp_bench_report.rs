@@ -5,12 +5,11 @@
 //! view materialization, and the 4C distillation pass, each at 1 / 2 /
 //! auto threads), the sketching kernels (MinHash signature, LSH band
 //! hashing, containment merge — SIMD vs. scalar reference over the full
-//! corpus), the shared sub-join DAG executor against the independent
-//! per-candidate materializer (with the DAG's shared-edge hit counters),
-//! and the hash-join micro-kernel — on the standard corpora, and
-//! writes a machine-readable `BENCH_<n>.json` so successive PRs accumulate
-//! a comparable perf series. Every report embeds the bench host's hardware
-//! context (thread count, CPU features, active SIMD backend).
+//! corpus), and the shared sub-join DAG's shared-edge counters — on the
+//! standard corpora, and writes a machine-readable `BENCH_<n>.json` so
+//! successive PRs accumulate a comparable perf series. Every report embeds
+//! the bench host's hardware context (thread count, CPU features, active
+//! SIMD backend).
 //!
 //! ```text
 //! cargo run --release --bin exp_bench_report                 # full corpora → bench_report.json ("pr": null)
@@ -29,7 +28,6 @@ use ver_datagen::chembl::{generate_chembl, ChemblConfig};
 use ver_datagen::wdc::{generate_wdc, WdcConfig};
 use ver_datagen::workload::{chembl_ground_truths, wdc_ground_truths};
 use ver_distill::{distill, DistillConfig};
-use ver_engine::join::hash_join;
 use ver_index::{
     build_index, hashed_containment, hashed_containment_scalar, IndexConfig, LshIndex, MinHasher,
 };
@@ -37,7 +35,6 @@ use ver_qbe::groundtruth::GroundTruth;
 use ver_qbe::noise::{generate_noisy_query, NoiseLevel};
 use ver_search::{MaterializeStats, SearchConfig};
 use ver_store::catalog::TableCatalog;
-use ver_store::table::{Table, TableBuilder};
 
 /// Best-of-`reps` wall time of `f`, in milliseconds.
 fn best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
@@ -62,22 +59,6 @@ struct OnlineTimes {
     distill_4c_ms: f64,
 }
 
-/// Shared sub-join DAG vs. independent per-candidate materialization over
-/// one corpus's workload: accumulated DAG counters (PR 6) plus the
-/// materialize-phase wall clock of both executors at one worker thread.
-#[derive(Debug, Clone, Copy, Default)]
-struct DagReport {
-    stats: MaterializeStats,
-    dag_ms: f64,
-    independent_ms: f64,
-}
-
-impl DagReport {
-    fn speedup(&self) -> f64 {
-        self.independent_ms / self.dag_ms
-    }
-}
-
 struct CorpusReport {
     name: &'static str,
     tables: usize,
@@ -91,7 +72,9 @@ struct CorpusReport {
     online_1: OnlineTimes,
     online_2: OnlineTimes,
     online_auto: OnlineTimes,
-    dag: DagReport,
+    /// Shared sub-join DAG counters summed over the workload (identical
+    /// for every worker count).
+    dag: MaterializeStats,
 }
 
 fn index_config(threads: usize, verify_exact: bool) -> IndexConfig {
@@ -103,8 +86,13 @@ fn index_config(threads: usize, verify_exact: bool) -> IndexConfig {
 }
 
 /// Run every ground-truth query once with search + 4C pinned to `threads`
-/// workers; returns summed stage times plus (queries, views) counters.
-fn online_pass(ver: &Ver, gts: &[GroundTruth], threads: usize) -> (OnlineTimes, usize, usize) {
+/// workers; returns summed stage times, the summed DAG counters, and
+/// (queries, views) counters.
+fn online_pass(
+    ver: &Ver,
+    gts: &[GroundTruth],
+    threads: usize,
+) -> (OnlineTimes, MaterializeStats, usize, usize) {
     let search_cfg = SearchConfig {
         threads,
         ..eval_search_config()
@@ -114,6 +102,7 @@ fn online_pass(ver: &Ver, gts: &[GroundTruth], threads: usize) -> (OnlineTimes, 
         ..Default::default()
     };
     let mut t = OnlineTimes::default();
+    let mut dag = MaterializeStats::default();
     let (mut queries, mut views) = (0usize, 0usize);
     for gt in gts {
         let Ok(query) = generate_noisy_query(ver.catalog(), gt, NoiseLevel::Zero, 3, 1) else {
@@ -122,61 +111,13 @@ fn online_pass(ver: &Ver, gts: &[GroundTruth], threads: usize) -> (OnlineTimes, 
         let out = run_strategy(ver, &query, Strategy::ColumnSelection, &search_cfg);
         t.jgs_ms += out.timer.get("jgs").as_secs_f64() * 1e3;
         t.materialize_ms += out.timer.get("materialize").as_secs_f64() * 1e3;
+        dag.accumulate(out.dag);
         let d = distill(&out.views, &distill_cfg);
         t.distill_4c_ms += d.timer.total().as_secs_f64() * 1e3;
         views += out.stats.views;
         queries += 1;
     }
-    (t, queries, views)
-}
-
-/// Head-to-head materialization: every ground-truth query run through both
-/// executors — the shared sub-join DAG (`dag_materialize: true`, the
-/// default) and the independent per-candidate path — with the outputs
-/// asserted bit-identical while timing. Best-of-`reps` materialize-phase
-/// wall clock per query per arm, summed; DAG counters (distinct steps,
-/// shared-edge hits, empty-pruned views) accumulated from the DAG arm.
-fn dag_pass(ver: &Ver, gts: &[GroundTruth], reps: usize) -> DagReport {
-    let dag_cfg = SearchConfig {
-        threads: 1,
-        ..eval_search_config()
-    };
-    let ind_cfg = SearchConfig {
-        threads: 1,
-        dag_materialize: false,
-        ..eval_search_config()
-    };
-    let mut r = DagReport::default();
-    for gt in gts {
-        let Ok(query) = generate_noisy_query(ver.catalog(), gt, NoiseLevel::Zero, 3, 1) else {
-            continue;
-        };
-        let (mut dag_best, mut ind_best) = (f64::INFINITY, f64::INFINITY);
-        let (mut dag_out, mut ind_out) = (None, None);
-        for _ in 0..reps.max(1) {
-            let out = run_strategy(ver, &query, Strategy::ColumnSelection, &dag_cfg);
-            dag_best = dag_best.min(out.timer.get("materialize").as_secs_f64() * 1e3);
-            dag_out = Some(out);
-            let out = run_strategy(ver, &query, Strategy::ColumnSelection, &ind_cfg);
-            ind_best = ind_best.min(out.timer.get("materialize").as_secs_f64() * 1e3);
-            ind_out = Some(out);
-        }
-        let (dag_out, ind_out) = (dag_out.unwrap(), ind_out.unwrap());
-        // The invariant behind the timing: both executors produce the
-        // identical ranked views — enforced even here.
-        assert_eq!(dag_out.views.len(), ind_out.views.len());
-        for (a, b) in dag_out.views.iter().zip(&ind_out.views) {
-            assert!(
-                a.same_contents(b),
-                "DAG executor diverged from independent reference on {}",
-                gt.name
-            );
-        }
-        r.stats.accumulate(dag_out.dag);
-        r.dag_ms += dag_best;
-        r.independent_ms += ind_best;
-    }
-    r
+    (t, dag, queries, views)
 }
 
 /// Time index builds (1/2/auto threads) and the online path (JGS +
@@ -206,10 +147,9 @@ fn report_corpus(
     };
     let ver = Ver::build(cat, config).expect("index build");
 
-    let (online_1, queries, views) = online_pass(&ver, &gts, 1);
+    let (online_1, dag, queries, views) = online_pass(&ver, &gts, 1);
     let (online_2, ..) = online_pass(&ver, &gts, 2);
     let (online_auto, ..) = online_pass(&ver, &gts, 0);
-    let dag = dag_pass(&ver, &gts, reps);
 
     CorpusReport {
         name,
@@ -378,18 +318,6 @@ fn write_kernel(json: &mut String, label: &str, t: &KernelTimes, last: bool) {
     );
 }
 
-fn join_table(name: &str, rows: usize) -> Table {
-    let mut b = TableBuilder::new(name, &["k", "v"]);
-    for i in 0..rows {
-        b.push_row(vec![
-            ver_common::value::Value::Int((i % (rows / 2).max(1)) as i64),
-            ver_common::value::Value::text(format!("val{i}")),
-        ])
-        .unwrap();
-    }
-    b.build()
-}
-
 fn write_online(json: &mut String, label: &str, t: &OnlineTimes, last: bool) {
     let _ = writeln!(
         json,
@@ -422,11 +350,8 @@ fn main() {
     let reps = if smoke { 1 } else { 3 };
     let hw = resolve_threads(0);
 
-    let (wdc_tables, chembl_tables, chembl_compounds, join_rows) = if smoke {
-        (60, 20, 60, 5_000)
-    } else {
-        (250, 70, 150, 20_000)
-    };
+    let (wdc_tables, chembl_tables, chembl_compounds) =
+        if smoke { (60, 20, 60) } else { (250, 70, 150) };
 
     eprintln!("exp_bench_report: hardware_threads={hw} smoke={smoke} reps={reps}");
 
@@ -450,10 +375,6 @@ fn main() {
     let wdc_report = report_corpus("WDC", wdc, wdc_gts, reps);
     let chembl_gts = chembl_ground_truths(&chembl).expect("chembl ground truths");
     let chembl_report = report_corpus("ChEMBL", chembl, chembl_gts, reps);
-
-    let left = join_table("l", join_rows);
-    let right = join_table("r", join_rows);
-    let hash_join_ms = best_ms(reps.max(3), || hash_join(&left, 0, &right, 0).unwrap());
 
     let mut json = String::new();
     json.push_str("{\n");
@@ -500,33 +421,19 @@ fn main() {
         write_online(&mut json, "threads_2", &r.online_2, false);
         write_online(&mut json, "threads_auto", &r.online_auto, true);
         json.push_str("      },\n");
-        // Shared sub-join DAG vs. independent per-candidate execution
-        // (both at one worker thread, outputs asserted bit-identical).
-        json.push_str("      \"materialize_dag\": {\n");
+        // How much join work the shared sub-join DAG saved.
         let _ = writeln!(
             json,
-            "        \"candidates\": {}, \"total_steps\": {}, \"distinct_steps\": {}, \"shared_hits\": {}, \"empty_pruned\": {},",
-            r.dag.stats.candidates,
-            r.dag.stats.total_steps,
-            r.dag.stats.distinct_steps,
-            r.dag.stats.shared_hits,
-            r.dag.stats.empty_pruned
+            "      \"materialize_dag\": {{\"candidates\": {}, \"total_steps\": {}, \"distinct_steps\": {}, \"shared_hits\": {}, \"empty_pruned\": {}}}",
+            r.dag.candidates,
+            r.dag.total_steps,
+            r.dag.distinct_steps,
+            r.dag.shared_hits,
+            r.dag.empty_pruned
         );
-        let _ = writeln!(
-            json,
-            "        \"dag_ms\": {:.3}, \"independent_ms\": {:.3}, \"speedup\": {:.3}",
-            r.dag.dag_ms,
-            r.dag.independent_ms,
-            r.dag.speedup()
-        );
-        json.push_str("      }\n");
         json.push_str(if i == 0 { "    },\n" } else { "    }\n" });
     }
-    json.push_str("  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"hash_join\": {{\"rows_per_side\": {join_rows}, \"ms\": {hash_join_ms:.3}}}"
-    );
+    json.push_str("  ]\n");
     json.push_str("}\n");
 
     std::fs::write(&out_path, &json).expect("write bench report");

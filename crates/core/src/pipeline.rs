@@ -325,23 +325,31 @@ fn undistilled(views: &[View]) -> DistillOutput {
 }
 
 /// Round-trip views through CSV files in a temp dir (VD-IO simulation).
+///
+/// Files are named by view id, and ids restart at 0 for every query, so
+/// each call works in its own directory (process id plus a process-wide
+/// call counter): concurrent queries on one [`Ver`] never touch each
+/// other's files.
 fn roundtrip_views(views: &[View]) -> Result<Vec<View>> {
-    let dir = std::env::temp_dir().join(format!("ver_views_{}", std::process::id()));
+    static CALLS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("ver_views_{}_{call}", std::process::id()));
     std::fs::create_dir_all(&dir)?;
-    let mut out = Vec::with_capacity(views.len());
-    for v in views {
+    let roundtrip = |v: &View| -> Result<View> {
         let path = dir.join(format!("view_{}.csv", v.id.0));
         let mut file = std::io::BufWriter::new(std::fs::File::create(&path)?);
         ver_store::csv::write_csv(&v.table, &mut file)?;
+        std::io::Write::flush(&mut file)?;
         drop(file);
         let file = std::fs::File::open(&path)?;
         let mut table = ver_store::csv::read_csv(v.table.name(), file, true)?;
         table.infer_types();
-        out.push(View::new(v.id, table, v.provenance.clone()));
         std::fs::remove_file(&path).ok();
-    }
-    std::fs::remove_dir(&dir).ok();
-    Ok(out)
+        Ok(View::new(v.id, table, v.provenance.clone()))
+    };
+    let out = views.iter().map(roundtrip).collect();
+    std::fs::remove_dir_all(&dir).ok();
+    out
 }
 
 /// Overlap-ranked survivors (only meaningful for QBE specs; keyword and
@@ -496,6 +504,47 @@ mod tests {
         assert_eq!(with_io.views.len(), without_io.views.len());
         for (a, b) in with_io.views.iter().zip(&without_io.views) {
             assert_eq!(a.hash_set(), b.hash_set(), "IO roundtrip changed rows");
+        }
+    }
+
+    #[test]
+    fn concurrent_view_io_runs_get_their_own_views() {
+        // VD-IO round-trips every view through files named by view id, and
+        // ids restart at 0 for every query. Queries running at the same
+        // time on one `Ver` (as a serving engine runs them) must still each
+        // read back exactly their own views.
+        let mut config = VerConfig::fast();
+        config.simulate_view_io = true;
+        let ver = Ver::build(catalog(), config).unwrap();
+        let specs = [
+            qbe(&[vec!["st1", "1001"], vec!["st2", "1002"]]),
+            qbe(&[vec!["AP3", "st3"], vec!["AP4", "st4"]]),
+            ViewSpec::Keyword(vec!["st5".into()]),
+            ViewSpec::Attribute(vec!["pop".into()]),
+        ];
+        let expected: Vec<QueryResult> = specs.iter().map(|s| ver.run(s).unwrap()).collect();
+        for round in 0..40 {
+            let start = std::sync::Barrier::new(specs.len());
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = specs
+                    .iter()
+                    .map(|spec| {
+                        let (start, ver) = (&start, &ver);
+                        scope.spawn(move || {
+                            start.wait();
+                            ver.run(spec)
+                        })
+                    })
+                    .collect();
+                for (handle, want) in handles.into_iter().zip(&expected) {
+                    let got = handle.join().unwrap().expect("concurrent VD-IO run");
+                    assert_eq!(got.views.len(), want.views.len(), "round {round}");
+                    for (a, b) in got.views.iter().zip(&want.views) {
+                        assert!(a.same_contents(b), "round {round}: view {} differs", a.id);
+                    }
+                    assert_eq!(got.ranked, want.ranked, "round {round}");
+                }
+            });
         }
     }
 

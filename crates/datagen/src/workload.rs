@@ -195,54 +195,12 @@ pub fn materialize_ground_truth(
                 gt.name
             ))
         })?;
-    let plan = ver_search_plan(catalog, index, best, &gt.columns)?;
-    ver_engine::exec::execute_plan(catalog, &plan, 1.0)
-}
-
-// Local copy of the plan linearisation (avoids a datagen → search
-// dependency cycle: search depends on qbe which datagen also uses).
-fn ver_search_plan(
-    catalog: &TableCatalog,
-    _index: &DiscoveryIndex,
-    graph: &ver_index::JoinGraph,
-    projection: &[ColumnRef],
-) -> Result<ver_engine::PjPlan> {
-    use ver_engine::plan::{JoinStep, PjPlan};
-    let base = projection
-        .first()
-        .ok_or_else(|| VerError::InvalidQuery("empty projection".into()))?
-        .table;
-    if graph.edges.is_empty() {
-        return Ok(PjPlan::single(base, projection.to_vec()));
-    }
-    let mut joins = Vec::new();
-    let mut present = vec![base];
-    let mut remaining: Vec<(ColumnRef, ColumnRef)> = graph
-        .edges
-        .iter()
-        .map(|e| -> Result<(ColumnRef, ColumnRef)> {
-            Ok((catalog.column_ref(e.left)?, catalog.column_ref(e.right)?))
-        })
-        .collect::<Result<_>>()?;
-    while !remaining.is_empty() {
-        let pos = remaining
-            .iter()
-            .position(|(a, b)| present.contains(&a.table) != present.contains(&b.table))
-            .ok_or_else(|| VerError::JoinError("disconnected join graph".into()))?;
-        let (a, b) = remaining.remove(pos);
-        let (left, right) = if present.contains(&a.table) {
-            (a, b)
-        } else {
-            (b, a)
-        };
-        joins.push(JoinStep { left, right });
-        present.push(right.table);
-    }
-    Ok(PjPlan {
-        base,
-        joins,
-        projection: projection.to_vec(),
-    })
+    let plan = ver_engine::PjPlan::linearize(
+        catalog,
+        best.edges.iter().map(|e| (e.left, e.right)),
+        &gt.columns,
+    )?;
+    ver_engine::execute_plan(catalog, &plan, 1.0)
 }
 
 /// Does any candidate view *hit* the ground truth? A hit is a candidate

@@ -1,28 +1,22 @@
-//! Row-index join states for shared sub-join execution.
+//! Row-index join states: the materializer's executor.
 //!
-//! [`execute_plan`](crate::exec::execute_plan) materialises every candidate
-//! independently: it clones the base table and gathers *all* columns of
-//! every intermediate at every step. When thousands of candidate PJ-views
-//! share join prefixes (the common case — Algorithm 5 enumerates
-//! combinations over the same join paths), that repeats the identical hash
-//! joins and value copies once per view.
-//!
-//! This module factors the executor into a value-free core: a [`JoinState`]
-//! holds, for each joined table, a flat `Vec<u32>` of *source row indices*
-//! — one entry per output row of the partial join. Executing a
-//! [`JoinStep`] only touches the two key columns; no payload value is
-//! cloned until a final projection gathers exactly the projected columns
-//! ([`materialize_state`]). Because a state is a pure value, it can be
-//! shared by every plan with the same oriented step prefix — the shared
+//! A [`JoinState`] holds, for each joined table, a flat `Vec<u32>` of
+//! *source row indices* — one entry per output row of the partial join.
+//! Executing a [`JoinStep`] only touches the two key columns; no payload
+//! value is cloned until the final projection gathers exactly the projected
+//! columns ([`materialize_state`]). Because a state is a pure value, it can
+//! be shared by every plan with the same oriented step prefix — the shared
 //! sub-join DAG that `ver_search::materialize::MaterializePlanner` builds.
+//! [`execute_plan`] runs a single plan through the same kernel.
 //!
-//! **Bit-identity contract**: for any valid plan,
-//! [`execute_plan_shared`] returns exactly what `execute_plan` returns —
-//! same rows in the same order, same schema, same chained `a⋈b⋈c` view
-//! name, same provenance. The row *order* is what makes this delicate:
-//! downstream deduplication keeps first occurrences, and the golden
-//! snapshots are byte-identical renders. Each step therefore replicates
-//! [`hash_join`](crate::join::hash_join)'s observable semantics:
+//! **Row-order contract** (invariant 9): for any valid plan the output is
+//! exactly what the textbook executor returns — clone the base table,
+//! hash-join full intermediates, project, keep the first occurrence of each
+//! row — with the same rows in the same order, the same schema, the same
+//! chained `a⋈b⋈c` view name and the same provenance. That reference
+//! executor lives with the tests (`tests/support/reference.rs`). Row order
+//! matters because downstream deduplication keeps first occurrences and the
+//! golden snapshots are byte-identical renders. Each step therefore fixes:
 //!
 //! * the hash index is built over the **smaller** side (accumulated rows
 //!   vs. the attached table), probed with the larger;
@@ -184,7 +178,7 @@ impl SlotTable {
 /// group's key; distinct values colliding on one 64-bit hash live in
 /// separate groups on a per-hash chain, so probes match exactly the rows
 /// an equal-key join matches. Rows inside a group chain in insertion
-/// order — [`hash_join`](crate::join::hash_join)'s within-bucket order.
+/// order — the reference hash join's within-bucket order.
 struct GroupIndex {
     /// Key hash → first group id with that hash.
     table: SlotTable,
@@ -310,7 +304,7 @@ thread_local! {
     #[allow(clippy::type_complexity)]
     static JOIN_SCRATCH: std::cell::RefCell<(GroupIndex, Vec<u32>, Vec<u32>)> =
         std::cell::RefCell::new((GroupIndex::empty(), Vec::new(), Vec::new()));
-    /// Per-thread dedup scratch for [`materialize_state_hashed`]:
+    /// Per-thread dedup scratch for [`materialize_state`]:
     /// `(row hashes, hash → arena head slot table, (kept row, next) chain
     /// arena, kept row list)`.
     #[allow(clippy::type_complexity)]
@@ -387,7 +381,7 @@ impl JoinState {
 
     /// Execute one join step, attaching `step.right.table`.
     ///
-    /// Mirrors [`hash_join`](crate::join::hash_join) exactly (build side,
+    /// Follows the module's row-order contract exactly (build side,
     /// match order, null and type semantics) — see the module docs. An
     /// empty state short-circuits: the child is empty without probing.
     pub fn step(&self, catalog: &TableCatalog, step: JoinStep) -> Result<JoinState> {
@@ -463,9 +457,9 @@ impl JoinState {
         };
 
         // Match pairs (accumulated output row, right source row), ordered
-        // exactly as hash_join orders them, collected into thread-local
-        // scratch (contents never cross joins, only capacity does) and then
-        // gathered into the child state's flat row storage.
+        // exactly as the reference hash join orders them, collected into
+        // thread-local scratch (contents never cross joins, only capacity
+        // does) and then gathered into the child state's flat row storage.
         let mut tables = self.tables.clone();
         tables.push(step.right.table);
         if self.is_empty() {
@@ -546,53 +540,19 @@ impl JoinState {
 /// Gather the projected columns out of a finished [`JoinState`] and wrap
 /// them as a [`View`] — the value-materialising tail of plan execution.
 ///
-/// Produces exactly what [`execute_plan`](crate::exec::execute_plan) would
-/// for the same plan: the chained `base⋈t1⋈t2` table name, the source
-/// tables' column metadata, stable first-occurrence deduplication, and the
-/// same [`Provenance`]. The returned view has `ViewId::default()`.
-pub fn materialize_state(
-    catalog: &TableCatalog,
-    state: &JoinState,
-    plan: &PjPlan,
-    join_score: f64,
-) -> Result<View> {
-    materialize_state_hashed(catalog, state, plan, join_score, &ColumnHashes::new())
-}
-
-/// [`materialize_state`] with a batch-scoped [`ColumnHashes`] cache —
-/// projected columns present in the cache skip re-hashing during
-/// deduplication. Output is identical for any cache contents.
+/// The view is named `name`, which must equal [`JoinState::joined_name`]
+/// for `state`: batch executors build it once per distinct DAG leaf and
+/// hand every candidate over that leaf the same `Arc<str>`. Projected
+/// columns present in the batch-scoped `hashes` cache skip re-hashing; the
+/// output is identical for any cache contents. The returned view has
+/// `ViewId::default()` and carries `plan`'s [`Provenance`].
 ///
 /// Deduplication happens *before* gathering: rows are bucketed by a
 /// combined hash of their source-cell hashes and verified by typed
 /// [`Value`] equality through the row indices, so only the surviving rows
-/// are ever cloned out of the source columns. This keeps first
-/// occurrences in row order — exactly what
-/// [`dedup_rows`](crate::dedup::dedup_rows) does after a full gather.
-pub fn materialize_state_hashed(
-    catalog: &TableCatalog,
-    state: &JoinState,
-    plan: &PjPlan,
-    join_score: f64,
-    hashes: &ColumnHashes,
-) -> Result<View> {
-    materialize_state_named(
-        catalog,
-        state,
-        plan,
-        join_score,
-        hashes,
-        state.joined_name(catalog)?,
-    )
-}
-
-/// [`materialize_state_hashed`] with the view name supplied by the caller.
-///
-/// `name` must equal [`JoinState::joined_name`] for `state` — batch
-/// executors build it once per distinct DAG leaf and hand every candidate
-/// over that leaf the same `Arc<str>`, instead of re-chaining table names
-/// per candidate.
-pub fn materialize_state_named(
+/// are ever cloned out of the source columns. This keeps the first
+/// occurrence of each row, in row order.
+pub fn materialize_state(
     catalog: &TableCatalog,
     state: &JoinState,
     plan: &PjPlan,
@@ -710,23 +670,31 @@ pub fn materialize_state_named(
     ))
 }
 
-/// Execute `plan` through the row-index core: validate, fold the steps
-/// into a [`JoinState`], then project. Single-plan convenience over the
-/// same kernel the shared sub-join DAG runs — output is bit-identical to
-/// [`execute_plan`](crate::exec::execute_plan).
-pub fn execute_plan_shared(catalog: &TableCatalog, plan: &PjPlan, join_score: f64) -> Result<View> {
+/// Execute one `plan`: validate it, fold its steps into a [`JoinState`],
+/// then project with [`materialize_state`]. The single-plan form of the
+/// kernel the shared sub-join DAG runs; the returned view has
+/// `ViewId::default()` and `join_score` in its provenance.
+pub fn execute_plan(catalog: &TableCatalog, plan: &PjPlan, join_score: f64) -> Result<View> {
     plan.validate()?;
     let mut state = JoinState::base(catalog, plan.base)?;
     for step in &plan.joins {
         state = state.step(catalog, *step)?;
     }
-    materialize_state(catalog, &state, plan, join_score)
+    let name = state.joined_name(catalog)?;
+    materialize_state(
+        catalog,
+        &state,
+        plan,
+        join_score,
+        &ColumnHashes::new(),
+        name,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute_plan;
+    use crate::exec::execute_plan as reference;
     use ver_common::ids::ColumnRef;
     use ver_common::value::Value;
     use ver_store::table::TableBuilder;
@@ -795,9 +763,9 @@ mod tests {
         }
     }
 
-    /// The contract everything above relies on: the shared-kernel executor
-    /// reproduces `execute_plan` *including row order* (Table is PartialEq
-    /// over schema and cell values in order).
+    /// The contract everything above relies on: the row-index executor
+    /// reproduces the reference executor *including row order* (Table is
+    /// PartialEq over schema and cell values in order).
     #[test]
     fn shared_execution_is_bit_identical_to_execute_plan() {
         let cat = catalog();
@@ -839,8 +807,8 @@ mod tests {
             },
         ];
         for (i, plan) in plans.iter().enumerate() {
-            let a = execute_plan(&cat, plan, 0.7).unwrap();
-            let b = execute_plan_shared(&cat, plan, 0.7).unwrap();
+            let a = reference(&cat, plan, 0.7).unwrap();
+            let b = execute_plan(&cat, plan, 0.7).unwrap();
             assert_eq!(a.table, b.table, "plan {i}: tables differ");
             assert_eq!(a.provenance, b.provenance, "plan {i}: provenance differs");
             assert_eq!(a.table.name(), b.table.name(), "plan {i}: name differs");
@@ -850,7 +818,7 @@ mod tests {
     #[test]
     fn build_side_swap_still_matches_reference() {
         // Base smaller than attached table AND base larger than attached
-        // table, same data — both sides of hash_join's build-side pivot.
+        // table, same data — both sides of the build-side pivot.
         let cat = catalog();
         let small_base = PjPlan {
             base: TableId(1), // 2 rows, attaches 8-row regions
@@ -869,8 +837,8 @@ mod tests {
             projection: vec![cref(2, 1), cref(1, 1)],
         };
         for plan in [&small_base, &large_base] {
-            let a = execute_plan(&cat, plan, 1.0).unwrap();
-            let b = execute_plan_shared(&cat, plan, 1.0).unwrap();
+            let a = reference(&cat, plan, 1.0).unwrap();
+            let b = execute_plan(&cat, plan, 1.0).unwrap();
             assert_eq!(a.table, b.table);
         }
     }
@@ -895,8 +863,8 @@ mod tests {
             }],
             projection: vec![cref(0, 1), cref(1, 1)],
         };
-        let a = execute_plan(&cat, &plan, 1.0).unwrap();
-        let b = execute_plan_shared(&cat, &plan, 1.0).unwrap();
+        let a = reference(&cat, &plan, 1.0).unwrap();
+        let b = execute_plan(&cat, &plan, 1.0).unwrap();
         assert_eq!(a.table, b.table);
         assert_eq!(a.row_count(), 1, "only Int(1) keys join");
     }
@@ -926,14 +894,30 @@ mod tests {
             }],
             projection: vec![cref(0, 0), cref(1, 1)],
         };
-        let via_shared = materialize_state(&cat, &prefix, &plan_a, 0.5).unwrap();
-        let independent = execute_plan(&cat, &plan_a, 0.5).unwrap();
+        let via_shared = materialize_state(
+            &cat,
+            &prefix,
+            &plan_a,
+            0.5,
+            &ColumnHashes::new(),
+            prefix.joined_name(&cat).unwrap(),
+        )
+        .unwrap();
+        let independent = reference(&cat, &plan_a, 0.5).unwrap();
         assert_eq!(via_shared.table, independent.table);
 
         let plan_b = chain_plan();
         let extended = prefix.step(&cat, plan_b.joins[1]).unwrap();
-        let via_shared = materialize_state(&cat, &extended, &plan_b, 0.5).unwrap();
-        let independent = execute_plan(&cat, &plan_b, 0.5).unwrap();
+        let via_shared = materialize_state(
+            &cat,
+            &extended,
+            &plan_b,
+            0.5,
+            &ColumnHashes::new(),
+            extended.joined_name(&cat).unwrap(),
+        )
+        .unwrap();
+        let independent = reference(&cat, &plan_b, 0.5).unwrap();
         assert_eq!(via_shared.table, independent.table);
     }
 
@@ -964,8 +948,8 @@ mod tests {
         assert!(state.is_empty());
         let tail = state.step(&cat, plan.joins[1]).unwrap();
         assert!(tail.is_empty());
-        let a = execute_plan(&cat, &plan, 1.0).unwrap();
-        let b = execute_plan_shared(&cat, &plan, 1.0).unwrap();
+        let a = reference(&cat, &plan, 1.0).unwrap();
+        let b = execute_plan(&cat, &plan, 1.0).unwrap();
         assert_eq!(a.table, b.table);
         assert_eq!(a.row_count(), 0);
     }

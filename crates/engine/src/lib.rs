@@ -4,36 +4,34 @@
 //! tables (the authors used pandas and note it "could be optimized by using
 //! a database"). This crate is that component, built from scratch:
 //!
-//! * [`join`] — hash equi-join between two tables.
-//! * [`project`] — column projection.
-//! * [`dedup`] — set-semantics row deduplication (candidate PJ-views are row
-//!   *sets*; 4C categorisation in the paper compares views as sets of rows).
-//! * [`union`] — schema-aligned union (used when distillation unions
-//!   complementary views).
+//! * [`plan`] — PJ plans: a join tree linearised into steps plus a
+//!   projection list ([`PjPlan::linearize`] turns a join graph's edges into
+//!   one).
+//! * [`dag`] — the executor. [`JoinState`] row-index intermediates make each
+//!   join step touch only its two key columns, so many plans with a common
+//!   prefix share one intermediate; [`materialize_state`] projects a state
+//!   and deduplicates it into a [`View`] (candidate PJ-views are row *sets*:
+//!   4C categorisation compares views as sets of rows). [`execute_plan`]
+//!   runs one plan through the same kernel.
 //! * [`rowhash`] — the row-wise hash function `H` of Algorithm 3.
-//! * [`plan`] / [`exec`] — PJ plans (a join tree linearised into steps plus a
-//!   projection list) and their executor, producing materialized [`View`]s.
-//! * [`dag`] — the row-index join core behind shared sub-join execution:
-//!   [`JoinState`] intermediates that many plans with a
-//!   common prefix reuse, bit-identical to [`exec`]'s independent path.
+//! * [`view`] — materialized views and their provenance.
 //!
 //! Layer 2 of the crate map in the repo-root `ARCHITECTURE.md`: the
 //! relational executor under the MATERIALIZER and distillation.
 
 pub mod dag;
-pub mod dedup;
-pub mod exec;
-pub mod join;
 pub mod plan;
-pub mod project;
 pub mod rowhash;
-pub mod union;
 pub mod view;
 
-pub use dag::{
-    execute_plan_shared, materialize_state, materialize_state_hashed, materialize_state_named,
-    ColumnHashes, JoinState,
-};
-pub use exec::execute_plan;
+pub use dag::{execute_plan, materialize_state, ColumnHashes, JoinState};
 pub use plan::{JoinStep, PjPlan};
 pub use view::{Provenance, View};
+
+// Unit-test builds only: the pre-DAG reference executor (invariant 9's
+// oracle), mounted at the crate root so the `dag` tests can compare against
+// it and its own unit tests run here.
+#[cfg(test)]
+extern crate self as ver_engine;
+#[cfg(test)]
+include!("../tests/support/reference.rs");

@@ -1,7 +1,7 @@
 //! Project-join plans: a linearised join tree plus a projection list.
 //!
 //! A *join graph* from the discovery engine is a tree over tables whose
-//! edges are inclusion-dependency column pairs. The search stage linearises
+//! edges are inclusion-dependency column pairs. [`PjPlan::linearize`] turns
 //! it into a [`PjPlan`]: a base table and a sequence of [`JoinStep`]s, each
 //! attaching one new table to the partial result by an equi-join. The plan
 //! validates its own shape (each step's left table already present, right
@@ -9,7 +9,8 @@
 
 use serde::{Deserialize, Serialize};
 use ver_common::error::{Result, VerError};
-use ver_common::ids::{ColumnRef, TableId};
+use ver_common::ids::{ColumnId, ColumnRef, TableId};
+use ver_store::catalog::TableCatalog;
 
 /// One join step: `left` is a column of a table already in the plan,
 /// `right` a column of the newly attached table.
@@ -44,6 +45,54 @@ impl PjPlan {
             joins: Vec::new(),
             projection,
         }
+    }
+
+    /// Linearise a join tree into a plan projecting `projection`.
+    ///
+    /// `edges` are the tree's column pairs, in any order and orientation.
+    /// The base table is the first projected column's table. Edges are
+    /// consumed BFS-style: each step takes the first remaining edge with
+    /// exactly one endpoint already in the plan, oriented so `left` is that
+    /// endpoint. Errors when the projection is empty, a column id does not
+    /// resolve, or the edges are not a connected tree over the base.
+    pub fn linearize(
+        catalog: &TableCatalog,
+        edges: impl IntoIterator<Item = (ColumnId, ColumnId)>,
+        projection: &[ColumnRef],
+    ) -> Result<PjPlan> {
+        let base = projection
+            .first()
+            .ok_or_else(|| VerError::InvalidQuery("empty projection".into()))?
+            .table;
+        let mut remaining: Vec<(ColumnRef, ColumnRef)> = edges
+            .into_iter()
+            .map(|(a, b)| Ok((catalog.column_ref(a)?, catalog.column_ref(b)?)))
+            .collect::<Result<_>>()?;
+        let mut joins = Vec::with_capacity(remaining.len());
+        let mut present = vec![base];
+        while !remaining.is_empty() {
+            let i = remaining
+                .iter()
+                .position(|(a, b)| present.contains(&a.table) != present.contains(&b.table))
+                .ok_or_else(|| {
+                    VerError::JoinError(
+                        "join graph is not a connected tree over the base table".into(),
+                    )
+                })?;
+            let (a, b) = remaining.remove(i);
+            let (left, right) = if present.contains(&a.table) {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            joins.push(JoinStep { left, right });
+            present.push(right.table);
+        }
+        Ok(PjPlan {
+            base,
+            joins,
+            projection: projection.to_vec(),
+        })
     }
 
     /// All tables touched by the plan, base first, in join order.
@@ -156,6 +205,42 @@ mod tests {
     fn empty_projection_rejected() {
         let plan = PjPlan::single(TableId(0), vec![]);
         assert!(plan.validate().is_err());
+    }
+
+    #[test]
+    fn linearize_orients_edges_away_from_the_base() {
+        use ver_store::table::TableBuilder;
+        // t0(a, b), t1(a, b), t2(a, b): column ids 0..6 in table order.
+        let mut cat = TableCatalog::new();
+        for name in ["t0", "t1", "t2"] {
+            cat.add_table(TableBuilder::new(name, &["a", "b"]).build())
+                .unwrap();
+        }
+        let id = |t: u32, o: u16| cat.column_id(cref(t, o)).unwrap();
+        // Edges listed leaf-first and right-to-left: t2.a–t1.b, t1.a–t0.b.
+        let edges = [(id(2, 0), id(1, 1)), (id(1, 0), id(0, 1))];
+        let plan = PjPlan::linearize(&cat, edges, &[cref(0, 0), cref(2, 1)]).unwrap();
+        assert_eq!(plan.base, TableId(0));
+        assert_eq!(
+            plan.joins,
+            vec![
+                JoinStep {
+                    left: cref(0, 1),
+                    right: cref(1, 0),
+                },
+                JoinStep {
+                    left: cref(1, 1),
+                    right: cref(2, 0),
+                },
+            ]
+        );
+        assert!(plan.validate().is_ok());
+        // No edges: a projection-only plan over the base.
+        let single = PjPlan::linearize(&cat, [], &[cref(1, 1)]).unwrap();
+        assert_eq!(single, PjPlan::single(TableId(1), vec![cref(1, 1)]));
+        // An edge that never touches the base's tree cannot be attached.
+        assert!(PjPlan::linearize(&cat, [(id(1, 0), id(2, 0))], &[cref(0, 0)]).is_err());
+        assert!(PjPlan::linearize(&cat, edges, &[]).is_err());
     }
 
     #[test]

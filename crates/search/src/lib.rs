@@ -28,8 +28,15 @@ pub mod rank;
 pub mod search;
 
 pub use cache::{view_key, SearchCaches, ViewKey};
-pub use materialize::{plan_from_join_graph, MaterializePlanner, MaterializeStats};
+pub use materialize::{MaterializePlanner, MaterializeStats};
 pub use search::{
     merge_shard_outputs, SearchConfig, SearchContext, SearchOutput, SearchStats, ShardSearchOutput,
     ShardView,
 };
+
+/// The pre-DAG reference executor (invariant 9's oracle), for the unit
+/// tests that compare materialized views against it.
+#[cfg(test)]
+#[path = "../../engine/tests/support/reference.rs"]
+#[allow(dead_code)]
+mod reference;

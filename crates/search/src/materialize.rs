@@ -2,9 +2,9 @@
 //! over a shared sub-join DAG.
 //!
 //! A join graph is a *tree* over tables; the executor wants a *chain* of
-//! join steps. [`plan_from_join_graph`] linearises by BFS from the base
-//! table (the first projected column's table), orienting each edge so
-//! `left` is already materialised.
+//! join steps. [`MaterializePlanner::plan`] linearises it with
+//! [`PjPlan::linearize`]: BFS from the base table (the first projected
+//! column's table), orienting each edge so `left` is already materialised.
 //!
 //! The top-k candidates of one query share enormous join-prefix overlap —
 //! Algorithm 5 enumerates combinations over the same join paths, so on the
@@ -16,13 +16,14 @@
 //! final per-candidate projections. Candidates whose shared prefix matched
 //! nothing are pruned without executing their remaining steps.
 //!
-//! Output is **bit-identical** to materialising every candidate
-//! independently through [`execute_plan`](ver_engine::exec::execute_plan)
-//! — same rows in the same order, same names, same provenance (the
-//! `ver_engine::dag` module documents why). `SearchConfig::dag_materialize
-//! = false` keeps the independent path available as the reference arm, and
-//! `crates/search/tests/materialize_equivalence.rs` plus the repo-root
-//! determinism suite pin the equivalence.
+//! This is the only way Ver materializes a view. Each result is
+//! **bit-identical** to running its plan alone through the pre-DAG
+//! reference executor — same rows in the same order, same names, same
+//! provenance (invariant 9; the `ver_engine::dag` module documents the
+//! row-order contract). That reference lives with the tests
+//! (`crates/engine/tests/support/reference.rs`);
+//! `crates/search/tests/materialize_equivalence.rs` and the repo-root
+//! determinism suite compare against it.
 
 use std::sync::Arc;
 use ver_common::budget::QueryBudget;
@@ -30,85 +31,11 @@ use ver_common::error::{Result, VerError};
 use ver_common::fxhash::FxHashMap;
 use ver_common::ids::{ColumnRef, TableId};
 use ver_common::pool::ThreadPool;
-use ver_engine::dag::{materialize_state_hashed, materialize_state_named, ColumnHashes, JoinState};
+use ver_engine::dag::{materialize_state, ColumnHashes, JoinState};
 use ver_engine::plan::{JoinStep, PjPlan};
 use ver_engine::view::View;
 use ver_index::JoinGraph;
 use ver_store::catalog::TableCatalog;
-
-/// Build a [`PjPlan`] for `graph` projecting `projection`.
-///
-/// The base table is the first projected column's table; edges are consumed
-/// BFS-style, each oriented so its `left` endpoint is already in the plan.
-/// Errors when the graph is not a connected tree over the base.
-pub fn plan_from_join_graph(
-    catalog: &TableCatalog,
-    graph: &JoinGraph,
-    projection: &[ColumnRef],
-) -> Result<PjPlan> {
-    let base = projection
-        .first()
-        .ok_or_else(|| VerError::InvalidQuery("empty projection".into()))?
-        .table;
-    if graph.edges.is_empty() {
-        return Ok(PjPlan::single(base, projection.to_vec()));
-    }
-
-    // Resolve edges to (table, cref) endpoints once.
-    struct Edge {
-        a_table: TableId,
-        a: ColumnRef,
-        b_table: TableId,
-        b: ColumnRef,
-    }
-    let edges: Vec<Edge> = graph
-        .edges
-        .iter()
-        .map(|e| -> Result<Edge> {
-            let a = catalog.column_ref(e.left)?;
-            let b = catalog.column_ref(e.right)?;
-            Ok(Edge {
-                a_table: a.table,
-                a,
-                b_table: b.table,
-                b,
-            })
-        })
-        .collect::<Result<_>>()?;
-
-    // BFS from base, consuming one edge per step.
-    let mut joins = Vec::with_capacity(edges.len());
-    let mut present = vec![base];
-    let mut remaining: Vec<&Edge> = edges.iter().collect();
-    while !remaining.is_empty() {
-        let pos = remaining
-            .iter()
-            .position(|e| present.contains(&e.a_table) != present.contains(&e.b_table));
-        match pos {
-            Some(i) => {
-                let e = remaining.remove(i);
-                let (left, right, new_table) = if present.contains(&e.a_table) {
-                    (e.a, e.b, e.b_table)
-                } else {
-                    (e.b, e.a, e.a_table)
-                };
-                joins.push(JoinStep { left, right });
-                present.push(new_table);
-            }
-            None => {
-                return Err(VerError::JoinError(
-                    "join graph is not a connected tree over the base table".into(),
-                ));
-            }
-        }
-    }
-
-    Ok(PjPlan {
-        base,
-        joins,
-        projection: projection.to_vec(),
-    })
-}
 
 /// Counters from one [`MaterializePlanner::plan_batch`] call — how much
 /// join work the shared sub-join DAG saved. Reported per query in
@@ -118,8 +45,8 @@ pub fn plan_from_join_graph(
 pub struct MaterializeStats {
     /// Candidate plans executed by the batch (cache hits never reach it).
     pub candidates: usize,
-    /// Join steps summed over all candidate plans — what the independent
-    /// path would execute.
+    /// Join steps summed over all candidate plans — what executing each
+    /// plan on its own would cost.
     pub total_steps: usize,
     /// Distinct DAG nodes (unique oriented step prefixes) — what the
     /// batch actually executed.
@@ -174,9 +101,13 @@ impl<'a> MaterializePlanner<'a> {
         MaterializePlanner { catalog }
     }
 
-    /// Linearise one candidate — see [`plan_from_join_graph`].
+    /// Linearise one candidate — see [`PjPlan::linearize`].
     pub fn plan(&self, graph: &JoinGraph, projection: &[ColumnRef]) -> Result<PjPlan> {
-        plan_from_join_graph(self.catalog, graph, projection)
+        PjPlan::linearize(
+            self.catalog,
+            graph.edges.iter().map(|e| (e.left, e.right)),
+            projection,
+        )
     }
 
     /// Execute a batch of `(plan, join_score)` candidates over the shared
@@ -185,33 +116,24 @@ impl<'a> MaterializePlanner<'a> {
     /// Each distinct oriented step prefix is executed once as a
     /// [`JoinState`]; every plan sharing it reuses the row-index arrays.
     /// Prefixes that matched nothing prune all their descendants. Results
-    /// come back in input order, each bit-identical to what
-    /// [`execute_plan`](ver_engine::exec::execute_plan) would produce for
-    /// that plan alone; per-plan failures surface as that plan's `Err`
-    /// without affecting the rest of the batch.
+    /// come back in input order, each bit-identical to executing that plan
+    /// alone ([`ver_engine::execute_plan`]); per-plan failures surface as
+    /// that plan's `Err` without affecting the rest of the batch.
     ///
     /// Node execution fans out level-by-level on `pool` (order-preserving,
     /// pure per-node work), so the output is identical for every thread
     /// count.
+    ///
+    /// `budget`'s cooperative deadline is checked at every DAG node
+    /// execution (the per-edge stage boundary) and every final projection.
+    /// A node that trips returns `Err(VerError::DeadlineExceeded)`, which
+    /// propagates to every candidate whose plan depends on it — candidates
+    /// whose chains completed earlier still come back `Ok`, which is what
+    /// lets the search path return partial results. A panic inside node
+    /// execution or projection is likewise confined to the affected
+    /// candidates as `Err(VerError::Internal)`. With an unlimited budget and
+    /// no injected faults the checks are a no-op.
     pub fn plan_batch(
-        &self,
-        candidates: &[(PjPlan, f64)],
-        pool: ThreadPool,
-    ) -> (Vec<Result<View>>, MaterializeStats) {
-        self.plan_batch_budgeted(candidates, pool, &QueryBudget::none())
-    }
-
-    /// [`plan_batch`](Self::plan_batch) under a [`QueryBudget`]: the
-    /// cooperative deadline is checked at every DAG node execution (the
-    /// per-edge stage boundary) and every final projection. A node that
-    /// trips returns `Err(VerError::DeadlineExceeded)`, which propagates to
-    /// every candidate whose plan depends on it — candidates whose chains
-    /// completed earlier still come back `Ok`, which is what lets the
-    /// search path return partial results. A panic inside node execution
-    /// or projection is likewise confined to the affected candidates as
-    /// `Err(VerError::Internal)`. With an unlimited budget and no injected
-    /// faults this is byte-for-byte `plan_batch` (the checks are a no-op).
-    pub fn plan_batch_budgeted(
         &self,
         candidates: &[(PjPlan, f64)],
         pool: ThreadPool,
@@ -351,7 +273,7 @@ impl<'a> MaterializePlanner<'a> {
         // projecting that leaf shares the `Arc<str>` instead of re-walking
         // the catalog per candidate.
         let mut names: FxHashMap<(u8, u32), Arc<str>> = FxHashMap::default();
-        let leaf_names: Vec<Option<Arc<str>>> = leaves
+        let leaf_names: Vec<Option<Result<Arc<str>>>> = leaves
             .iter()
             .map(|leaf| {
                 let (key, state) = match leaf {
@@ -363,13 +285,12 @@ impl<'a> MaterializePlanner<'a> {
                     ),
                 };
                 let Ok(state) = state else { return None };
-                match names.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(e) => Some(e.get().clone()),
-                    std::collections::hash_map::Entry::Vacant(e) => state
-                        .joined_name(self.catalog)
-                        .ok()
-                        .map(|n| e.insert(n).clone()),
-                }
+                Some(match names.entry(key) {
+                    std::collections::hash_map::Entry::Occupied(e) => Ok(e.get().clone()),
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        state.joined_name(self.catalog).map(|n| e.insert(n).clone())
+                    }
+                })
             })
             .collect();
         // Project every candidate off its leaf state (order-preserving
@@ -383,51 +304,20 @@ impl<'a> MaterializePlanner<'a> {
                 Leaf::Base(b) => &base_states[*b],
                 Leaf::Node(n) => states[*n].as_ref().expect("leaf level completed"),
             };
-            match state {
-                Err(e) => Err(e.clone()),
-                Ok(state) => match &leaf_names[i] {
-                    Some(name) => materialize_state_named(
-                        self.catalog,
-                        state,
-                        plan,
-                        *score,
-                        &hashes,
-                        name.clone(),
-                    ),
-                    None => materialize_state_hashed(self.catalog, state, plan, *score, &hashes),
-                },
-            }
+            let state = state.as_ref().map_err(Clone::clone)?;
+            let name = leaf_names[i].clone().expect("Ok leaf states are named")?;
+            materialize_state(self.catalog, state, plan, *score, &hashes, name)
         });
         (views, stats)
     }
 }
 
-/// Materialise one join graph into a view.
-///
-/// Documented shim over [`MaterializePlanner`]: linearises the graph with
-/// [`plan_from_join_graph`] and runs it as a single-candidate
-/// [`MaterializePlanner::plan_batch`] — the same shared-kernel executor the
-/// batched search path uses, which for one plan degenerates to exactly
-/// [`execute_plan`](ver_engine::exec::execute_plan)'s behaviour. Kept as
-/// the single-candidate entrypoint for tests and ground-truth tooling.
-pub fn materialize_join_graph(
-    catalog: &TableCatalog,
-    graph: &JoinGraph,
-    projection: &[ColumnRef],
-    join_score: f64,
-) -> Result<View> {
-    let planner = MaterializePlanner::new(catalog);
-    let plan = planner.plan(graph, projection)?;
-    let (mut views, _) = planner.plan_batch(&[(plan, join_score)], ThreadPool::new(1));
-    views.pop().expect("one candidate in, one result out")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::exec::execute_plan;
     use ver_common::ids::ColumnId;
     use ver_common::value::Value;
-    use ver_engine::exec::execute_plan;
     use ver_index::{build_index, DiscoveryIndex, IndexConfig};
     use ver_store::table::TableBuilder;
 
@@ -475,11 +365,29 @@ mod tests {
         }
     }
 
+    /// Linearise one join graph and materialise it as a single-candidate
+    /// batch.
+    fn materialize(
+        cat: &TableCatalog,
+        graph: &JoinGraph,
+        projection: &[ColumnRef],
+        join_score: f64,
+    ) -> Result<View> {
+        let planner = MaterializePlanner::new(cat);
+        let plan = planner.plan(graph, projection)?;
+        let (mut views, _) = planner.plan_batch(
+            &[(plan, join_score)],
+            ThreadPool::new(1),
+            &QueryBudget::none(),
+        );
+        views.pop().expect("one candidate in, one result out")
+    }
+
     #[test]
     fn single_table_graph_materialises_projection() {
         let (cat, _) = setup();
         let graph = JoinGraph::default();
-        let v = materialize_join_graph(&cat, &graph, &[cref(0, 0), cref(0, 1)], 1.0).unwrap();
+        let v = materialize(&cat, &graph, &[cref(0, 0), cref(0, 1)], 1.0).unwrap();
         assert_eq!(v.row_count(), 30);
         assert_eq!(v.attribute_names(), vec!["iata", "state"]);
     }
@@ -490,7 +398,7 @@ mod tests {
         let graphs = idx.generate_join_graphs(&[TableId(0), TableId(1)], 2);
         assert!(!graphs.is_empty());
         let direct = graphs.iter().find(|g| g.hops() == 1).expect("direct join");
-        let v = materialize_join_graph(&cat, direct, &[cref(0, 0), cref(1, 1)], 0.9).unwrap();
+        let v = materialize(&cat, direct, &[cref(0, 0), cref(1, 1)], 0.9).unwrap();
         assert_eq!(v.row_count(), 30);
         assert_eq!(v.attribute_names(), vec!["iata", "pop"]);
         assert_eq!(v.provenance.join_score, 0.9);
@@ -502,7 +410,9 @@ mod tests {
         let graphs = idx.generate_join_graphs(&[TableId(0), TableId(1)], 2);
         let direct = graphs.iter().find(|g| g.hops() == 1).unwrap();
         // Projection starting from states → base = states.
-        let plan = plan_from_join_graph(&cat, direct, &[cref(1, 1), cref(0, 0)]).unwrap();
+        let plan = MaterializePlanner::new(&cat)
+            .plan(direct, &[cref(1, 1), cref(0, 0)])
+            .unwrap();
         assert_eq!(plan.base, TableId(1));
         assert!(plan.validate().is_ok());
     }
@@ -517,7 +427,7 @@ mod tests {
         assert!(!graphs.is_empty());
         let two_hop = graphs.iter().find(|g| g.hops() == 2);
         if let Some(g) = two_hop {
-            let v = materialize_join_graph(&cat, g, &[cref(0, 0), cref(2, 1)], 0.8).unwrap();
+            let v = materialize(&cat, g, &[cref(0, 0), cref(2, 1)], 0.8).unwrap();
             assert_eq!(v.row_count(), 30);
             assert_eq!(v.provenance.hops(), 2);
         }
@@ -531,7 +441,7 @@ mod tests {
         let g = graphs.iter().find(|g| g.hops() == 1).unwrap();
         // Base from a projection on airports, but edges only link states—regions:
         // BFS can never attach the first edge.
-        let err = plan_from_join_graph(&cat, g, &[cref(0, 0)]);
+        let err = MaterializePlanner::new(&cat).plan(g, &[cref(0, 0)]);
         assert!(err.is_err());
     }
 
@@ -541,14 +451,16 @@ mod tests {
         let graphs = idx.generate_join_graphs(&[TableId(0), TableId(2)], 2);
         let direct = graphs.iter().find(|g| g.hops() == 1).unwrap();
         // Project only the region column: 30 rows collapse to 3 regions.
-        let v = materialize_join_graph(&cat, direct, &[cref(2, 1)], 1.0).unwrap();
+        let v = materialize(&cat, direct, &[cref(2, 1)], 1.0).unwrap();
         assert_eq!(v.row_count(), 3);
     }
 
     #[test]
     fn empty_projection_is_invalid() {
         let (cat, _) = setup();
-        assert!(plan_from_join_graph(&cat, &JoinGraph::default(), &[]).is_err());
+        assert!(MaterializePlanner::new(&cat)
+            .plan(&JoinGraph::default(), &[])
+            .is_err());
     }
 
     #[test]
@@ -618,7 +530,8 @@ mod tests {
 
         for threads in [1usize, 2, 0] {
             let planner = MaterializePlanner::new(&cat);
-            let (views, stats) = planner.plan_batch(&plans, ThreadPool::new(threads));
+            let (views, stats) =
+                planner.plan_batch(&plans, ThreadPool::new(threads), &QueryBudget::none());
             assert_eq!(views.len(), plans.len());
             for ((plan, score), view) in plans.iter().zip(&views) {
                 let independent = execute_plan(&cat, plan, *score).unwrap();
@@ -647,6 +560,7 @@ mod tests {
         let (views, stats) = planner.plan_batch(
             &[(good, 1.0), (invalid, 1.0), (missing, 1.0)],
             ThreadPool::new(1),
+            &QueryBudget::none(),
         );
         assert!(views[0].is_ok());
         assert!(views[1].is_err());
@@ -678,7 +592,11 @@ mod tests {
             projection: vec![cref(3, 0), cref(2, 1)],
         };
         let planner = MaterializePlanner::new(&cat);
-        let (views, stats) = planner.plan_batch(&[(plan.clone(), 0.5)], ThreadPool::new(1));
+        let (views, stats) = planner.plan_batch(
+            &[(plan.clone(), 0.5)],
+            ThreadPool::new(1),
+            &QueryBudget::none(),
+        );
         let batched = views[0].as_ref().unwrap();
         let independent = execute_plan(&cat, &plan, 0.5).unwrap();
         assert_eq!(batched.table, independent.table);

@@ -1,30 +1,37 @@
 //! Property tests for invariant 9: the shared sub-join DAG executor is
-//! bit-identical to independent per-candidate execution.
+//! bit-identical to the pre-DAG reference executor run on each plan alone.
 //!
 //! Two levels, both over randomly generated catalogs:
 //!
 //! * **Planner level** — random batches of valid [`PjPlan`]s (overlapping
 //!   prefixes, empty joins, projection-only plans) run through
-//!   [`MaterializePlanner::plan_batch`] must reproduce
-//!   [`execute_plan`]'s per-candidate output *exactly* — same rows in the
-//!   same order, same schema, same provenance — for every thread count.
-//! * **Search level** — [`SearchContext::search`] with
-//!   `dag_materialize: true` vs `false` must produce the same ranked
-//!   views ([`View::same_contents`]) and statistics for random queries,
-//!   top-k cuts, and thread counts.
+//!   [`MaterializePlanner::plan_batch`] and through the single-plan
+//!   [`ver_engine::execute_plan`] must reproduce the reference
+//!   [`execute_plan`]'s output *exactly* — same rows in the same order,
+//!   same schema, same provenance — for every thread count.
+//! * **Search level** — every view [`SearchContext::search`] returns must
+//!   equal its plan, rebuilt from the view's provenance, run through the
+//!   reference executor, for random queries and top-k cuts, at one and at
+//!   auto threads, with and without [`SearchCaches`]. A `k`-cut returns
+//!   exactly the first `min(k, n)` views of the uncut run.
+
+#[path = "../../engine/tests/support/reference.rs"]
+#[allow(dead_code)]
+mod reference;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
+use reference::exec::{execute_plan, reexecute};
+use ver_common::budget::QueryBudget;
 use ver_common::ids::{ColumnRef, TableId};
 use ver_common::pool::ThreadPool;
 use ver_common::value::Value;
-use ver_engine::exec::execute_plan;
 use ver_engine::plan::{JoinStep, PjPlan};
 use ver_index::{build_index, DiscoveryIndex, IndexConfig};
 use ver_qbe::query::{ExampleQuery, QueryColumn};
-use ver_search::{MaterializePlanner, SearchConfig, SearchContext};
+use ver_search::{MaterializePlanner, SearchCaches, SearchConfig, SearchContext};
 use ver_select::{column_selection, SelectionConfig};
 use ver_store::catalog::TableCatalog;
 use ver_store::table::TableBuilder;
@@ -119,8 +126,9 @@ fn index_for(cat: &TableCatalog) -> DiscoveryIndex {
     .expect("index build")
 }
 
-// Planner level: batched DAG execution ≡ independent execution,
-// table-exact (rows AND row order), for every thread count.
+// Planner level: batched DAG execution and the single-plan executor ≡
+// the reference executor, table-exact (rows AND row order), for every
+// thread count.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
 
@@ -134,7 +142,8 @@ proptest! {
         let plans = random_plans(seed, n_tables, n_plans);
         let planner = MaterializePlanner::new(&cat);
         for threads in [1usize, 2, 0] {
-            let (views, stats) = planner.plan_batch(&plans, ThreadPool::new(threads));
+            let (views, stats) =
+                planner.plan_batch(&plans, ThreadPool::new(threads), &QueryBudget::none());
             prop_assert_eq!(views.len(), plans.len());
             prop_assert_eq!(stats.candidates, plans.len());
             prop_assert_eq!(stats.shared_hits, stats.total_steps - stats.distinct_steps);
@@ -148,22 +157,27 @@ proptest! {
                 prop_assert_eq!(&batched.provenance, &independent.provenance);
             }
         }
+        for (plan, score) in &plans {
+            let single = ver_engine::execute_plan(&cat, plan, *score).expect("valid plan");
+            let independent = execute_plan(&cat, plan, *score).expect("valid plan");
+            prop_assert_eq!(&single.table, &independent.table);
+            prop_assert_eq!(&single.provenance, &independent.provenance);
+        }
     }
 }
 
-// Search level: the `dag_materialize` flag never changes the output —
-// same stats, same ranked views — across random corpora, k, threads.
-// Search-level cases build a discovery index each, so fewer cases.
+// Search level: every returned view ≡ its plan through the reference
+// executor, across random corpora, k, threads and cache use; a k-cut is a
+// prefix of the uncut ranking. Search-level cases build a discovery index
+// each, so fewer cases.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, .. ProptestConfig::default() })]
 
     #[test]
-    fn dag_flag_never_changes_search_output(
+    fn search_output_matches_the_reference_executor(
         seed in 0u64..1_000_000,
         k in 1usize..10,
-        thread_pick in 0usize..3,
     ) {
-        let threads = [1usize, 2, 0][thread_pick];
         let cat = random_catalog(seed, 4);
         let idx = index_for(&cat);
         let query = ExampleQuery::new(vec![
@@ -171,24 +185,42 @@ proptest! {
             QueryColumn::of_strs(&["1", "2"]),
         ]).unwrap();
         let sel = column_selection(&idx, &query, &SelectionConfig::default());
-        let cx = SearchContext::new(&cat, &idx);
-        let run = |dag_materialize: bool| {
-            cx.search(&sel, &SearchConfig {
-                k,
-                threads,
-                dag_materialize,
-                ..Default::default()
-            }).expect("search")
+        let config = |k: usize, threads: usize| SearchConfig {
+            k,
+            threads,
+            drop_empty_views: false,
+            ..Default::default()
         };
-        let dag = run(true);
-        let independent = run(false);
-        prop_assert_eq!(dag.stats, independent.stats);
-        prop_assert_eq!(dag.views.len(), independent.views.len());
-        for (a, b) in dag.views.iter().zip(&independent.views) {
-            prop_assert!(
-                a.same_contents(b),
-                "k={} threads={}: view {} differs across executors", k, threads, a.id
-            );
+        let uncut = SearchContext::new(&cat, &idx)
+            .search(&sel, &config(usize::MAX, 1))
+            .expect("search");
+        let n = uncut.views.len();
+        for threads in [1usize, 0] {
+            let caches = SearchCaches::new(64);
+            for cached in [false, true] {
+                let mut cx = SearchContext::new(&cat, &idx);
+                if cached {
+                    cx = cx.with_caches(&caches);
+                }
+                for k in [k, usize::MAX] {
+                    let out = cx.search(&sel, &config(k, threads)).expect("search");
+                    prop_assert!(!out.partial);
+                    prop_assert_eq!(out.views.len(), k.min(n), "k={} threads={}", k, threads);
+                    for (view, expected) in out.views.iter().zip(&uncut.views) {
+                        let independent = reexecute(&cat, view).expect("reference run");
+                        prop_assert!(
+                            view.same_contents(&independent),
+                            "k={} threads={} cached={}: view {} differs from the reference",
+                            k, threads, cached, view.id
+                        );
+                        prop_assert_eq!(&view.table, &independent.table);
+                        prop_assert!(
+                            view.same_contents(expected),
+                            "k={}: view {} is not the uncut run's view", k, view.id
+                        );
+                    }
+                }
+            }
         }
     }
 }

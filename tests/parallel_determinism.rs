@@ -6,17 +6,26 @@
 //! the identical `QueryResult` — same views (ids, rows, provenance), same
 //! search statistics, same distillation labels and survivors, same final
 //! ranking — whether search scoring/materialization and the 4C pass run
-//! on 1, 2, or auto worker threads, and whether the top-k candidates
-//! materialise over the shared sub-join DAG (default) or independently
-//! per candidate (invariant 9). Runs over a generated WDC-style corpus so
-//! the skewed column sizes actually exercise work stealing.
+//! on 1, 2, or auto worker threads. Every view the shared sub-join DAG
+//! materialises is also re-run alone through the pre-DAG reference
+//! executor and must come out identical (invariant 9). Runs over a
+//! generated WDC-style corpus so the skewed column sizes actually exercise
+//! work stealing.
 
+#[path = "../crates/engine/tests/support/reference.rs"]
+#[allow(dead_code)]
+mod reference;
+
+use ver_common::budget::QueryBudget;
 use ver_core::{QueryResult, Ver, VerConfig};
+use ver_datagen::chembl::{generate_chembl, ChemblConfig};
 use ver_datagen::wdc::{generate_wdc, WdcConfig};
-use ver_datagen::workload::wdc_ground_truths;
+use ver_datagen::workload::{chembl_ground_truths, materialize_ground_truth, wdc_ground_truths};
+use ver_engine::view::View;
 use ver_index::{build_index, DiscoveryIndex, IndexConfig};
 use ver_qbe::noise::{generate_noisy_query, NoiseLevel};
 use ver_qbe::ViewSpec;
+use ver_search::SearchCaches;
 use ver_store::catalog::TableCatalog;
 
 fn corpus() -> TableCatalog {
@@ -276,43 +285,124 @@ fn shard_leg_outputs_survive_the_wire_codec_bit_identically() {
     );
 }
 
+/// Assert every view equals its plan (rebuilt from provenance) run alone
+/// through the reference executor — contents, provenance and row order.
+fn assert_matches_reference(cat: &TableCatalog, views: &[View], label: &str) {
+    for view in views {
+        let independent = reference::exec::reexecute(cat, view).expect("reference run");
+        assert!(
+            view.same_contents(&independent),
+            "{label}: view {} differs from the reference executor",
+            view.id
+        );
+        assert_eq!(view.table, independent.table, "{label}: view {}", view.id);
+    }
+}
+
 #[test]
 fn dag_materialization_is_identical_to_independent_execution() {
-    // Invariant 9: the shared sub-join DAG executor (the default) and the
-    // independent per-candidate executor produce bit-identical results —
-    // for every thread count, over a corpus large enough that candidates
+    // Invariant 9: the shared sub-join DAG executor produces, for every
+    // view, exactly what the independent reference executor produces for
+    // that view's plan — at one and at auto threads, with and without
+    // cross-query caches, over a corpus large enough that candidates
     // actually share join prefixes.
     let cat = corpus();
     let gts = wdc_ground_truths(&cat).expect("wdc ground truths");
+    let specs: Vec<(String, ViewSpec)> = gts
+        .iter()
+        .enumerate()
+        .take(4)
+        .filter_map(|(qi, gt)| {
+            let query = generate_noisy_query(&cat, gt, NoiseLevel::Zero, 3, 7 + qi as u64).ok()?;
+            Some((gt.name.clone(), ViewSpec::Qbe(query)))
+        })
+        .collect();
 
-    let build = |threads: usize, dag: bool| {
-        let mut config = VerConfig::default().with_threads(threads);
-        config.search.dag_materialize = dag;
-        Ver::build(cat.clone(), config).expect("build")
-    };
-    let dag_seq = build(1, true);
-    let ind_seq = build(1, false);
-    let dag_auto = build(0, true);
-
+    let seq = Ver::build(cat.clone(), VerConfig::default().with_threads(1)).expect("build");
+    let baseline: Vec<QueryResult> = specs
+        .iter()
+        .map(|(_, spec)| seq.run(spec).expect("run threads=1"))
+        .collect();
     let mut compared = 0;
-    for (qi, gt) in gts.iter().enumerate().take(4) {
-        let Ok(query) = generate_noisy_query(&cat, gt, NoiseLevel::Zero, 3, 7 + qi as u64) else {
-            continue;
-        };
-        let spec = ViewSpec::Qbe(query);
-        let rd = dag_seq.run(&spec).expect("run dag threads=1");
-        let ri = ind_seq.run(&spec).expect("run independent threads=1");
-        let ra = dag_auto.run(&spec).expect("run dag threads=auto");
-        assert_same_result(&rd, &ri, &format!("{} dag vs independent", gt.name));
-        assert_same_result(&ra, &ri, &format!("{} dag-auto vs independent", gt.name));
-        if !ri.views.is_empty() {
-            compared += 1;
+    for threads in [1usize, 0] {
+        let ver = Ver::from_parts(
+            seq.catalog_shared(),
+            seq.index_shared(),
+            VerConfig::default().with_threads(threads),
+        )
+        .expect("from_parts");
+        let caches = SearchCaches::new(1 << 16);
+        // No caches, then a cold and a warm pass over shared caches.
+        for (pass, cached) in [(0, false), (1, true), (2, true)] {
+            for ((name, spec), base) in specs.iter().zip(&baseline) {
+                let label = format!("{name} threads={threads} pass={pass}");
+                let r = ver
+                    .run_budgeted(spec, cached.then_some(&caches), &QueryBudget::none())
+                    .expect("run");
+                assert_matches_reference(&cat, &r.views, &label);
+                assert_same_result(&r, base, &label);
+                if threads == 1 && pass == 0 && !r.views.is_empty() {
+                    compared += 1;
+                }
+            }
         }
+        assert!(caches.view_stats().hits > 0, "warm passes must hit");
     }
     assert!(
         compared >= 2,
         "equivalence check needs non-trivial queries, got {compared}"
     );
+
+    // Top-k cuts with empty views kept: a k-cut returns exactly the first
+    // min(k, n) views of the uncut ranking.
+    let keep_empty = |k: usize| {
+        let mut config = VerConfig::default().with_threads(0);
+        config.search.drop_empty_views = false;
+        config.search.k = k;
+        Ver::from_parts(seq.catalog_shared(), seq.index_shared(), config).expect("from_parts")
+    };
+    let uncut_ver = keep_empty(usize::MAX);
+    for (name, spec) in &specs {
+        let uncut = uncut_ver.run(spec).expect("run uncut");
+        assert_matches_reference(&cat, &uncut.views, name);
+        let n = uncut.views.len();
+        for k in [1usize, 3, 10] {
+            let cut = keep_empty(k).run(spec).expect("run cut");
+            assert_eq!(cut.views.len(), k.min(n), "{name}: k={k}");
+            for (a, b) in cut.views.iter().zip(&uncut.views) {
+                assert!(
+                    a.same_contents(b),
+                    "{name}: k={k} view {} not a prefix",
+                    a.id
+                );
+            }
+        }
+    }
+
+    // Ground-truth views (built by `ver_datagen` through the same
+    // executor) match the reference on both corpora.
+    for gt in &gts {
+        let view = materialize_ground_truth(seq.catalog(), seq.index(), gt, 2).expect("wdc gt");
+        assert_matches_reference(seq.catalog(), std::slice::from_ref(&view), &gt.name);
+    }
+    let chembl = Ver::build(
+        generate_chembl(&ChemblConfig {
+            n_compounds: 80,
+            n_tables: 16,
+            seed: 21,
+        })
+        .expect("chembl generation"),
+        VerConfig::default().with_threads(0),
+    )
+    .expect("build chembl");
+    let chembl_gts = chembl_ground_truths(chembl.catalog()).expect("chembl ground truths");
+    assert!(!chembl_gts.is_empty());
+    for gt in &chembl_gts {
+        let view =
+            materialize_ground_truth(chembl.catalog(), chembl.index(), gt, 2).expect("chembl gt");
+        assert!(view.row_count() > 0, "{}: empty ground truth", gt.name);
+        assert_matches_reference(chembl.catalog(), std::slice::from_ref(&view), &gt.name);
+    }
 }
 
 #[test]
