@@ -59,23 +59,42 @@ pub fn frame_checksum(payload: &[u8]) -> u64 {
     fx_step(h, payload.len() as u64)
 }
 
+/// Bytes before the payload: the preamble and the length prefix.
+const HEADER_LEN: usize = MAGIC.len() + 4;
+
+/// Encode one frame whose payload `write` appends straight into the frame
+/// buffer, after the reserved header: the payload is never copied. The
+/// length prefix is patched in and the checksum appended afterwards.
+///
+/// A payload over [`MAX_FRAME_LEN`] is not framed: the error carries its
+/// byte count, so the caller can answer with a typed error instead.
+pub fn encode_frame_with(write: impl FnOnce(&mut Vec<u8>)) -> std::result::Result<Vec<u8>, usize> {
+    let mut frame = Vec::with_capacity(HEADER_LEN + 8);
+    frame.extend_from_slice(MAGIC);
+    frame.extend_from_slice(&[0; 4]);
+    write(&mut frame);
+    let len = frame.len() - HEADER_LEN;
+    if len > MAX_FRAME_LEN as usize {
+        return Err(len);
+    }
+    frame[MAGIC.len()..HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
+    let checksum = frame_checksum(&frame[HEADER_LEN..]);
+    frame.extend_from_slice(&checksum.to_le_bytes());
+    Ok(frame)
+}
+
 /// Encode one frame around `payload`.
 ///
 /// Panics if `payload` exceeds [`MAX_FRAME_LEN`] — producing an
 /// un-decodable frame would be a programming error, not a runtime
-/// condition (the codec layer never builds payloads near the cap).
+/// condition (the server frames its replies with [`encode_frame_with`],
+/// which reports an oversized payload instead).
 pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
-    assert!(
-        payload.len() <= MAX_FRAME_LEN as usize,
-        "frame payload of {} bytes exceeds MAX_FRAME_LEN",
-        payload.len()
-    );
-    let mut out = Vec::with_capacity(MAGIC.len() + 4 + payload.len() + 8);
-    out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
-    out.extend_from_slice(&frame_checksum(payload).to_le_bytes());
-    out
+    encode_frame_with(|out| {
+        out.reserve_exact(payload.len() + 8);
+        out.extend_from_slice(payload);
+    })
+    .unwrap_or_else(|len| panic!("frame payload of {len} bytes exceeds MAX_FRAME_LEN"))
 }
 
 /// Decode one complete frame from a byte buffer, requiring exact
@@ -83,23 +102,19 @@ pub fn encode_frame(payload: &[u8]) -> Vec<u8> {
 /// reference decoder the corruption proptests exercise; the streaming
 /// reader ([`read_frame`]) enforces the identical checks.
 pub fn decode_frame(buf: &[u8]) -> Result<Vec<u8>> {
-    if buf.len() < MAGIC.len() + 4 {
+    if buf.len() < HEADER_LEN {
         return Err(VerError::Protocol("truncated frame header".into()));
     }
     if &buf[..MAGIC.len()] != MAGIC {
         return Err(VerError::Protocol("bad frame preamble".into()));
     }
-    let len = u32::from_le_bytes(
-        buf[MAGIC.len()..MAGIC.len() + 4]
-            .try_into()
-            .expect("4 bytes"),
-    );
+    let len = u32::from_le_bytes(buf[MAGIC.len()..HEADER_LEN].try_into().expect("4 bytes"));
     if len > MAX_FRAME_LEN {
         return Err(VerError::Protocol(format!(
             "frame length {len} exceeds cap {MAX_FRAME_LEN}"
         )));
     }
-    let body = &buf[MAGIC.len() + 4..];
+    let body = &buf[HEADER_LEN..];
     let len = len as usize;
     if body.len() < len + 8 {
         return Err(VerError::Protocol("truncated frame body".into()));
@@ -163,7 +178,7 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> Result<bool> {
 ///   prefix, or a checksum mismatch → [`VerError::Protocol`];
 /// * socket errors and tripped read timeouts → [`VerError::Io`].
 pub fn read_frame(r: &mut impl Read) -> Result<ReadOutcome> {
-    let mut header = [0u8; 11]; // MAGIC + u32 len
+    let mut header = [0u8; HEADER_LEN];
     if !read_exact_or_eof(r, &mut header)? {
         return Ok(ReadOutcome::Eof);
     }

@@ -27,14 +27,15 @@ use ver_common::budget::QueryBudget;
 use ver_common::error::{Result, VerError};
 use ver_common::fault::{self, points};
 use ver_common::fxhash::FxHashMap;
+use ver_common::sync::lock_unpoisoned;
 use ver_core::QueryResult;
 use ver_qbe::ViewSpec;
 
 use super::config::NetConfig;
-use super::frame::{read_frame, write_frame, ReadOutcome};
+use super::frame::{encode_frame_with, read_frame, write_frame, ReadOutcome, MAX_FRAME_LEN};
 use super::wire::{
-    HealthReply, NetStats, Page, QueryHead, Request, Response, StatsReply, WireResult,
-    WireRouterLeg, WireShardOutput, WireView, PROTOCOL_VERSION,
+    encode_page, encode_query_head, HealthReply, NetStats, Request, Response, StatsReply,
+    WireRouterLeg, WireShardOutput, PROTOCOL_VERSION,
 };
 use crate::remote::RouterEngine;
 use crate::{ServeEngine, ServeStats};
@@ -152,11 +153,11 @@ impl Counters {
     }
 }
 
-/// One paginated result parked server-side between `FetchPage`s. The
-/// views are shared (`Arc`), so a cursor costs a map entry, not a copy
-/// of the result.
+/// One paginated result parked server-side between `FetchPage`s: the
+/// same `Arc` the result cache holds, so a cursor costs a map entry, not
+/// a copy of the result. Each page is encoded from it on demand.
 struct CursorState {
-    views: Arc<Vec<WireView>>,
+    result: Arc<QueryResult>,
     page_size: u32,
 }
 
@@ -182,7 +183,7 @@ struct Shared {
 
 impl Shared {
     fn net_stats(&self) -> NetStats {
-        let open = self.cursors.lock().map(|t| t.map.len()).unwrap_or(0);
+        let open = lock_unpoisoned(&self.cursors).map.len();
         self.counters.snapshot(open as u64)
     }
 
@@ -380,21 +381,26 @@ fn serve_conn(stream: &TcpStream, shared: &Shared) {
                 return;
             }
         };
-        let response = match Request::decode(&payload) {
-            Ok(req) => handle_request(shared, req),
+        let (frame, shutdown_after) = match Request::decode(&payload) {
+            Ok(req) => {
+                let shutdown = matches!(req, Request::Shutdown);
+                (handle_request(shared, req), shutdown)
+            }
             Err(e) => {
                 // The frame checksum passed, so framing is still aligned
                 // — report the typed error and keep the connection.
                 c.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                error_response(&e)
+                (frame_reply(&error_response(&e)), false)
             }
         };
-        let shutdown_after = matches!(response, Response::ShutdownAck);
         if fault::hit(points::NET_WRITE).is_err() {
             c.dropped_conns.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        match write_frame(&mut &*stream, &response.encode()) {
+        match (&*stream)
+            .write_all(&frame)
+            .and_then(|()| (&*stream).flush())
+        {
             Ok(()) => {
                 c.frames_out.fetch_add(1, Ordering::Relaxed);
             }
@@ -435,9 +441,37 @@ fn error_response(e: &VerError) -> Response {
     }
 }
 
-fn handle_request(shared: &Shared, req: Request) -> Response {
-    let c = &shared.counters;
-    match req {
+/// Frame a reply whose size is bounded by construction (stats, health,
+/// acks, errors): only answers carry view data that can outgrow a frame.
+fn frame_reply(resp: &Response) -> Vec<u8> {
+    encode_frame_with(|out| resp.encode_into(out)).unwrap_or_else(|len| {
+        panic!("a reply without view data is {len} bytes, over the frame cap")
+    })
+}
+
+/// The typed error for an answer, or one page of it, whose payload is
+/// over [`MAX_FRAME_LEN`]: the caller can ask again with a smaller
+/// `page_size`.
+fn over_cap(what: String, len: usize) -> VerError {
+    VerError::InvalidQuery(format!(
+        "{what} is {len} bytes, over the {MAX_FRAME_LEN}-byte frame cap; \
+         ask for a smaller page_size"
+    ))
+}
+
+/// Count a query's outcome in `ok` or `err`.
+fn count<T>(counters: &Counters, reply: &Result<T>) {
+    let counter = match reply {
+        Ok(_) => &counters.queries_ok,
+        Err(_) => &counters.queries_err,
+    };
+    counter.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Handle one request and return the framed reply. Every failure becomes
+/// a typed `Error` frame, so the connection stays usable.
+fn handle_request(shared: &Shared, req: Request) -> Vec<u8> {
+    let reply = match req {
         Request::Query {
             spec,
             page_size,
@@ -448,16 +482,12 @@ fn handle_request(shared: &Shared, req: Request) -> Response {
             } else {
                 QueryBudget::none().with_timeout(Duration::from_millis(timeout_ms))
             };
-            match shared.backend.query_with_budget(&spec, &budget) {
-                Ok(result) => {
-                    c.queries_ok.fetch_add(1, Ordering::Relaxed);
-                    Response::Query(paginate(shared, &result, page_size))
-                }
-                Err(e) => {
-                    c.queries_err.fetch_add(1, Ordering::Relaxed);
-                    error_response(&e)
-                }
-            }
+            let reply = shared
+                .backend
+                .query_with_budget(&spec, &budget)
+                .and_then(|result| paginate(shared, result, page_size));
+            count(&shared.counters, &reply);
+            reply
         }
         Request::ShardQuery {
             spec,
@@ -472,120 +502,283 @@ fn handle_request(shared: &Shared, req: Request) -> Response {
             } else {
                 QueryBudget::none().with_timeout(Duration::from_millis(budget_ms))
             };
-            match shared
+            let reply = shared
                 .backend
                 .shard_query(&spec, shard as usize, shard_count as usize, &budget)
-            {
-                Ok(out) => {
-                    c.queries_ok.fetch_add(1, Ordering::Relaxed);
-                    Response::ShardOutput(WireShardOutput::from_output(&out))
-                }
-                Err(e) => {
-                    c.queries_err.fetch_add(1, Ordering::Relaxed);
-                    error_response(&e)
-                }
-            }
+                .and_then(|out| shard_output_frame(&out));
+            count(&shared.counters, &reply);
+            reply
         }
         Request::FetchPage { cursor, page } => fetch_page(shared, cursor, page),
-        Request::Stats => Response::Stats(StatsReply {
+        Request::Stats => Ok(frame_reply(&Response::Stats(StatsReply {
             serve: shared.backend.stats(),
             net: shared.net_stats(),
             router: shared.backend.router_stats(),
-        }),
+        }))),
         Request::Health => {
             let (tables, columns, shards) = shared.backend.health();
-            Response::Health(HealthReply {
+            Ok(frame_reply(&Response::Health(HealthReply {
                 protocol_version: PROTOCOL_VERSION,
                 tables,
                 columns,
                 shards,
                 uptime_ms: shared.started.elapsed().as_millis() as u64,
-            })
+            })))
         }
-        Request::Shutdown => Response::ShutdownAck,
-    }
+        Request::Shutdown => Ok(frame_reply(&Response::ShutdownAck)),
+    };
+    reply.unwrap_or_else(|e| frame_reply(&error_response(&e)))
 }
 
-/// Split a result into a head (+ optional server-side cursor for the
-/// remaining pages).
-fn paginate(shared: &Shared, result: &QueryResult, requested_page_size: u32) -> QueryHead {
-    let wire = WireResult::from_query_result(result);
+/// Frame one scatter leg's output. A leg whose output is over the frame
+/// cap fails `Internal`, which the router degrades to a partial answer.
+fn shard_output_frame(out: &ver_search::ShardSearchOutput) -> Result<Vec<u8>> {
+    encode_frame_with(|buf| {
+        Response::ShardOutput(WireShardOutput::from_output(out)).encode_into(buf)
+    })
+    .map_err(|len| {
+        VerError::Internal(format!(
+            "shard {} output is {len} bytes, over the {MAX_FRAME_LEN}-byte frame cap",
+            out.shard
+        ))
+    })
+}
+
+/// Frame the head of a result — page 0, or all of it — straight from the
+/// shared result, and park the result under a cursor when pages remain.
+fn paginate(
+    shared: &Shared,
+    result: Arc<QueryResult>,
+    requested_page_size: u32,
+) -> Result<Vec<u8>> {
     let page_size = if requested_page_size == 0 {
         shared.config.default_page_size
     } else {
         requested_page_size
     };
-    let total = wire.views.len() as u32;
-    let (cursor, views, effective) = if page_size == 0 || total <= page_size {
-        (0, wire.views, 0)
+    let paged = page_size != 0 && result.views.len() > page_size as usize;
+    let (cursor, effective) = if paged {
+        (
+            shared.next_cursor.fetch_add(1, Ordering::Relaxed),
+            page_size,
+        )
     } else {
-        let all = Arc::new(wire.views);
-        let first: Vec<WireView> = all[..page_size as usize].to_vec();
-        let id = shared.next_cursor.fetch_add(1, Ordering::Relaxed);
-        let mut table = shared.cursors.lock().expect("cursor lock");
-        table.map.insert(
-            id,
-            CursorState {
-                views: all,
-                page_size,
-            },
-        );
-        table.order.push_back(id);
+        (0, 0)
+    };
+    let frame = encode_frame_with(|out| encode_query_head(out, &result, effective, cursor))
+        .map_err(|len| over_cap("the answer's first frame".into(), len))?;
+    if paged {
+        // Parked only once its head is framed: a client cannot ask for a
+        // page of a cursor it has not been sent.
+        let mut evicted = Vec::new();
+        let mut table = lock_unpoisoned(&shared.cursors);
+        table.map.insert(cursor, CursorState { result, page_size });
+        table.order.push_back(cursor);
         while table.map.len() > shared.config.max_cursors.max(1) {
-            if let Some(old) = table.order.pop_front() {
-                if table.map.remove(&old).is_some() {
-                    shared
-                        .counters
-                        .cursors_evicted
-                        .fetch_add(1, Ordering::Relaxed);
-                }
+            let Some(old) = table.order.pop_front() else {
+                break;
+            };
+            if let Some(state) = table.map.remove(&old) {
+                evicted.push(state);
+                shared
+                    .counters
+                    .cursors_evicted
+                    .fetch_add(1, Ordering::Relaxed);
             }
         }
-        (id, first, page_size)
-    };
-    QueryHead {
-        partial: wire.partial,
-        stats: wire.stats,
-        survivors_c2: wire.survivors_c2,
-        ranked: wire.ranked,
-        total_views: total,
-        page_size: effective,
-        cursor,
-        views,
+        drop(table);
+        // An evicted cursor may hold the last reference to its result;
+        // free it outside the lock.
+        drop(evicted);
     }
+    Ok(frame)
 }
 
-fn fetch_page(shared: &Shared, cursor: u64, page: u32) -> Response {
-    let mut table = shared.cursors.lock().expect("cursor lock");
-    let state = match table.map.get(&cursor) {
-        Some(s) => s,
-        None => {
-            return error_response(&VerError::NotFound(format!(
+/// Frame page `page` of a parked result. The lock covers only the cursor
+/// lookup: the page is encoded from a clone of the result's `Arc`, and
+/// draining the last page frees just the map entry.
+fn fetch_page(shared: &Shared, cursor: u64, page: u32) -> Result<Vec<u8>> {
+    let (result, start, end, last) = {
+        let mut table = lock_unpoisoned(&shared.cursors);
+        let state = table.map.get(&cursor).ok_or_else(|| {
+            VerError::NotFound(format!(
                 "cursor {cursor} (expired, drained, or never issued)"
-            )))
+            ))
+        })?;
+        let page_size = state.page_size as usize;
+        let total = state.result.views.len();
+        let start = (page as usize).saturating_mul(page_size);
+        if start >= total {
+            return Err(VerError::InvalidQuery(format!(
+                "page {page} out of range for cursor {cursor} ({total} views, page size {page_size})"
+            )));
         }
+        let end = (start + page_size).min(total);
+        let result = Arc::clone(&state.result);
+        let last = end == total;
+        if last {
+            table.map.remove(&cursor);
+            table.order.retain(|c| *c != cursor);
+        }
+        (result, start, end, last)
     };
-    let page_size = state.page_size as usize;
-    let total = state.views.len();
-    let start = (page as usize).saturating_mul(page_size);
-    if start >= total {
-        return error_response(&VerError::InvalidQuery(format!(
-            "page {page} out of range for cursor {cursor} ({total} views, page size {page_size})"
-        )));
-    }
-    let end = (start + page_size).min(total);
-    let views = state.views[start..end].to_vec();
-    let last = end == total;
-    if last {
-        table.map.remove(&cursor);
-        table.order.retain(|c| *c != cursor);
-    }
-    drop(table);
+    let frame =
+        encode_frame_with(|out| encode_page(out, cursor, page, last, &result.views[start..end]))
+            .map_err(|len| over_cap(format!("page {page} of cursor {cursor}"), len))?;
     shared.counters.pages_served.fetch_add(1, Ordering::Relaxed);
-    Response::Page(Page {
-        cursor,
-        page,
-        last,
-        views,
-    })
+    Ok(frame)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::net::frame::decode_frame;
+    use crate::net::Client;
+    use crate::ServeConfig;
+    use ver_common::ids::ViewId;
+    use ver_common::value::{DataType, Value};
+    use ver_core::engine::{Provenance, View};
+    use ver_core::VerConfig;
+    use ver_qbe::ExampleQuery;
+    use ver_store::catalog::TableCatalog;
+    use ver_store::column::Column;
+    use ver_store::schema::{ColumnMeta, TableSchema};
+    use ver_store::table::{Table, TableBuilder};
+
+    /// airports ⋈ state_pop plus a conflicting state_pop_old: an answer
+    /// of several views, so a page size of 1 paginates it.
+    fn engine() -> ServeEngine {
+        let mut cat = TableCatalog::new();
+        let states: Vec<String> = (0..40).map(|i| format!("st{i}")).collect();
+        let mut b = TableBuilder::new("airports", &["iata", "state"]);
+        for (i, s) in states.iter().enumerate() {
+            b.push_row(vec![Value::text(format!("AP{i}")), Value::text(s.clone())])
+                .unwrap();
+        }
+        cat.add_table(b.build()).unwrap();
+        for (name, base) in [("state_pop", 1000), ("state_pop_old", 900)] {
+            let mut b = TableBuilder::new(name, &["state", "pop"]);
+            for (i, s) in states.iter().enumerate() {
+                b.push_row(vec![Value::text(s.clone()), Value::Int(base + i as i64)])
+                    .unwrap();
+            }
+            cat.add_table(b.build()).unwrap();
+        }
+        let config = ServeConfig {
+            pipeline: VerConfig::fast(),
+            ..ServeConfig::default()
+        };
+        ServeEngine::build(cat, config).unwrap()
+    }
+
+    fn spec() -> ViewSpec {
+        ViewSpec::Qbe(ExampleQuery::from_rows(&[vec!["st1", "1001"], vec!["st2", "1002"]]).unwrap())
+    }
+
+    fn bind(engine: &Arc<ServeEngine>) -> Server {
+        let config = NetConfig {
+            addr: "127.0.0.1:0".parse().unwrap(),
+            ..NetConfig::default()
+        };
+        Server::bind(Backend::Single(Arc::clone(engine)), config).unwrap()
+    }
+
+    #[test]
+    fn a_poisoned_cursor_table_still_pages_and_counts_cursors() {
+        let handle = bind(&Arc::new(engine())).spawn();
+        let shared = Arc::clone(&handle.shared);
+        let poisoner = std::thread::spawn(move || {
+            let _table = shared.cursors.lock().unwrap();
+            panic!("a handler dies holding the cursor lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(handle.shared.cursors.is_poisoned());
+
+        let mut client = Client::connect(handle.addr()).unwrap();
+        let whole = client.query(&spec(), 0, 0).unwrap();
+        assert!(whole.views.len() > 1, "the answer must span pages");
+        let paged = client.query(&spec(), 1, 0).unwrap();
+        assert_eq!(paged, whole);
+        let head = client.query_head(&spec(), 1, 0).unwrap();
+        assert_ne!(head.cursor, 0);
+        let net = client.stats().unwrap().net;
+        assert_eq!(net.cursors_open, 1, "{net:?}");
+        assert_eq!(net.handler_panics, 0, "{net:?}");
+    }
+
+    /// One column of `rows` cells that all share one 1 KiB text value.
+    fn wide_view(id: u32, rows: usize) -> View {
+        let text = Value::text("x".repeat(1024));
+        let schema = TableSchema::new(
+            "wide",
+            vec![ColumnMeta {
+                name: Some("c".into()),
+                dtype: DataType::Text,
+            }],
+        );
+        let table = Table::new(schema, vec![Column::from_values(vec![text; rows])]).unwrap();
+        View::new(ViewId(id), table, Provenance::default())
+    }
+
+    /// Decode a reply frame into the typed error it carries.
+    fn error_of(frame: &[u8]) -> VerError {
+        match Response::decode(&decode_frame(frame).unwrap()).unwrap() {
+            Response::Error { code, message } => VerError::from_wire(code, message),
+            other => panic!("expected an error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn an_answer_over_the_frame_cap_is_a_typed_error() {
+        let engine = Arc::new(engine());
+        let server = bind(&engine);
+        let shared = &server.shared;
+        // 1029 bytes per cell: just over the cap in one view.
+        let rows = MAX_FRAME_LEN as usize / 1024 + 1024;
+        let mut result = engine.ver().run(&spec()).unwrap();
+        let small = result.views[0].clone();
+        result.views = vec![small, wide_view(1, rows)];
+        let result = Arc::new(result);
+
+        // Inline: the head itself is over the cap.
+        let err = paginate(shared, Arc::clone(&result), 0).unwrap_err();
+        let VerError::InvalidQuery(m) = &err else {
+            panic!("expected InvalidQuery, got {err:?}");
+        };
+        assert!(m.contains(&MAX_FRAME_LEN.to_string()), "{m}");
+        assert!(m.contains("page_size"), "{m}");
+        // What the connection sends back: the typed error, framed.
+        let frame = frame_reply(&error_response(&err));
+        assert!(matches!(error_of(&frame), VerError::InvalidQuery(_)));
+
+        // Paged by one view: the head fits, page 1 does not.
+        let head = paginate(shared, Arc::clone(&result), 1).unwrap();
+        let Response::Query(head) = Response::decode(&decode_frame(&head).unwrap()).unwrap() else {
+            panic!("expected a head");
+        };
+        let err = fetch_page(shared, head.cursor, 1).unwrap_err();
+        assert!(
+            matches!(&err, VerError::InvalidQuery(m) if m.contains("page 1")),
+            "{err:?}"
+        );
+
+        // A leg's output over the cap fails Internal, which the router
+        // degrades to a partial answer.
+        let out = ver_search::ShardSearchOutput {
+            shard: 0,
+            shard_count: 1,
+            views: vec![ver_search::ShardView {
+                score: 1.0,
+                canon: Vec::new(),
+                projection: Arc::from(Vec::new()),
+                view: wide_view(0, rows),
+            }],
+            stats: ver_search::SearchStats::default(),
+            dag: ver_search::MaterializeStats::default(),
+            timer: ver_common::timer::PhaseTimer::new(),
+            partial: false,
+        };
+        let err = shard_output_frame(&out).unwrap_err();
+        assert!(matches!(err, VerError::Internal(_)), "{err:?}");
+    }
 }

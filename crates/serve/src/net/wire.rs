@@ -13,12 +13,30 @@
 //! (invariant 12: over-the-wire result ≡ in-process result).
 //! `f64` scores travel as raw IEEE-754 bits to keep that equivalence
 //! bit-exact.
+//!
+//! **Two encoders, one layout.** [`Response::encode`] over the owned
+//! [`QueryHead`] / [`Page`] types is the public reference. The server
+//! does not build those: [`encode_query_head`] and [`encode_page`] write
+//! the same bytes straight from the shared `QueryResult`'s views, so a
+//! cache hit ships without copying its answer. Both paths go through one
+//! writer per message part (`put_view`, `put_head`, `put_page_head`), so
+//! the byte layout is defined once.
+//!
+//! **Decoding interns text per frame.** Candidate views re-project the
+//! same base columns, so a page repeats at most a few hundred distinct
+//! text values across tens of thousands of cells or more. [`Reader`] validates each
+//! text cell on the borrowed payload and looks it up in a per-payload
+//! interner keyed by its bytes: a repeat shares the first cell's
+//! `Arc<str>` instead of allocating its own.
 
 use std::fmt::Write as _;
+use std::hash::Hasher as _;
 use std::sync::Arc;
 
 use ver_common::error::{Result, VerError};
+use ver_common::fxhash::FxHasher;
 use ver_common::value::Value;
+use ver_core::engine::View;
 use ver_core::QueryResult;
 use ver_qbe::{ExampleQuery, QueryColumn, ViewSpec};
 
@@ -43,11 +61,16 @@ pub const PROTOCOL_VERSION: u32 = 2;
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    text: TextInterner,
 }
 
 impl<'a> Reader<'a> {
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader {
+            buf,
+            pos: 0,
+            text: TextInterner::default(),
+        }
     }
 
     fn need(&self, n: usize, what: &str) -> Result<()> {
@@ -132,7 +155,12 @@ impl<'a> Reader<'a> {
             0 => Ok(Value::Null),
             1 => Ok(Value::Int(self.u64(what)? as i64)),
             2 => Ok(Value::Float(f64::from_bits(self.u64(what)?))),
-            3 => Ok(Value::Text(Arc::from(self.string(what)?.as_str()))),
+            3 => {
+                let len = self.count(1, what)?;
+                let bytes = self.take(len, what)?;
+                let remaining = self.buf.len() - self.pos;
+                self.text.intern(bytes, remaining, what).map(Value::Text)
+            }
             t => Err(VerError::Protocol(format!("bad value tag {t} for {what}"))),
         }
     }
@@ -147,6 +175,67 @@ impl<'a> Reader<'a> {
             )));
         }
         Ok(())
+    }
+}
+
+/// The text values one payload has decoded so far, keyed by their bytes:
+/// a 2-way set-associative table of `Arc<str>`s with their hashes, sized
+/// from the payload on the first text cell. A value whose set is full is
+/// decoded into an `Arc<str>` of its own and not kept.
+///
+/// A bounded table, not a map, because the keys are untrusted: a peer
+/// that crafts colliding strings can only make its cells miss and
+/// allocate, as every cell did before interning, never lengthen a probe
+/// chain. On the answers the server sends, a page holds a few hundred
+/// distinct values, far fewer than the table's slots, so in practice every
+/// repeat shares one `Arc<str>`.
+#[derive(Default)]
+struct TextInterner {
+    sets: Vec<[InternSlot; 2]>,
+    /// Bits of the hash that pick a set.
+    bits: u32,
+}
+
+/// An interned value with its hash, or an empty slot.
+type InternSlot = Option<(u64, Arc<str>)>;
+
+impl TextInterner {
+    /// Sets per payload byte still unread at the first text cell: a text
+    /// cell takes at least 5 bytes, so 1 set per 256 bytes leaves room
+    /// for far more distinct values than the answers carry.
+    const BYTES_PER_SET: usize = 256;
+    const MIN_SETS: usize = 16;
+    const MAX_SETS: usize = 4096;
+
+    fn intern(&mut self, bytes: &[u8], remaining: usize, what: &str) -> Result<Arc<str>> {
+        if self.sets.is_empty() {
+            let n = (remaining / Self::BYTES_PER_SET)
+                .next_power_of_two()
+                .clamp(Self::MIN_SETS, Self::MAX_SETS);
+            self.sets = vec![[None, None]; n];
+            self.bits = n.trailing_zeros();
+        }
+        let mut h = FxHasher::default();
+        h.write(bytes);
+        let hash = h.finish();
+        // The top bits: Fx's low bits ignore the high bytes of each word.
+        let set = &mut self.sets[(hash >> (64 - self.bits)) as usize];
+        // The stored hash settles most mismatches without reading the
+        // slot's text.
+        let hit = set
+            .iter()
+            .flatten()
+            .find(|(h, text)| *h == hash && text.as_bytes() == bytes);
+        if let Some((_, text)) = hit {
+            return Ok(Arc::clone(text));
+        }
+        let s = std::str::from_utf8(bytes)
+            .map_err(|_| VerError::Protocol(format!("invalid utf-8 in {what}")))?;
+        let text: Arc<str> = Arc::from(s);
+        if let Some(free) = set.iter_mut().find(|slot| slot.is_none()) {
+            *free = Some((hash, Arc::clone(&text)));
+        }
+        Ok(text)
     }
 }
 
@@ -447,23 +536,15 @@ impl WireView {
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.id);
-        put_u64(out, self.score_bits);
-        put_u32(out, self.hops);
-        put_u32(out, self.source_tables.len() as u32);
-        for t in &self.source_tables {
-            put_u32(out, *t);
-        }
-        put_u32(out, self.columns.len() as u32);
-        for c in &self.columns {
-            put_opt_string(out, c.as_deref());
-        }
-        put_u32(out, self.rows.len() as u32);
-        for row in &self.rows {
-            for v in row {
-                put_value(out, v);
-            }
-        }
+        put_view(
+            out,
+            self.id,
+            self.score_bits,
+            self.hops,
+            self.source_tables.iter().copied(),
+            self.columns.iter().map(Option::as_deref),
+            self.rows.iter().map(|row| row.iter()),
+        );
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<WireView> {
@@ -471,24 +552,16 @@ impl WireView {
         let score_bits = r.u64("view score")?;
         let hops = r.u32("view hops")?;
         let ntables = r.count(4, "view tables")?;
-        let mut source_tables = Vec::new();
+        let mut source_tables = Vec::with_capacity(ntables);
         for _ in 0..ntables {
             source_tables.push(r.u32("view table id")?);
         }
         let ncols = r.count(1, "view columns")?;
-        let mut columns = Vec::new();
+        let mut columns = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             columns.push(r.opt_string("view column name")?);
         }
-        let nrows = r.count(ncols.max(1), "view rows")?;
-        let mut rows = Vec::new();
-        for _ in 0..nrows {
-            let mut row = Vec::new();
-            for _ in 0..ncols {
-                row.push(r.value("view cell")?);
-            }
-            rows.push(row);
-        }
+        let rows = read_rows(r, ncols, "view rows", "view cell")?;
         Ok(WireView {
             id,
             score_bits,
@@ -498,6 +571,80 @@ impl WireView {
             rows,
         })
     }
+}
+
+/// The one writer of a view's byte layout. [`WireView::encode`] feeds it
+/// owned wire rows; [`encode_query_head`] and [`encode_page`] feed it a
+/// borrowed [`View`]'s columns, read row by row.
+fn put_view<'v, R>(
+    out: &mut Vec<u8>,
+    id: u32,
+    score_bits: u64,
+    hops: u32,
+    source_tables: impl ExactSizeIterator<Item = u32>,
+    columns: impl ExactSizeIterator<Item = Option<&'v str>>,
+    rows: impl ExactSizeIterator<Item = R>,
+) where
+    R: Iterator<Item = &'v Value>,
+{
+    put_u32(out, id);
+    put_u64(out, score_bits);
+    put_u32(out, hops);
+    put_u32(out, source_tables.len() as u32);
+    for t in source_tables {
+        put_u32(out, t);
+    }
+    put_u32(out, columns.len() as u32);
+    for c in columns {
+        put_opt_string(out, c);
+    }
+    put_rows(out, rows);
+}
+
+/// A row count followed by the rows' cells, row-major.
+fn put_rows<'v, R>(out: &mut Vec<u8>, rows: impl ExactSizeIterator<Item = R>)
+where
+    R: Iterator<Item = &'v Value>,
+{
+    put_u32(out, rows.len() as u32);
+    for row in rows {
+        for v in row {
+            put_value(out, v);
+        }
+    }
+}
+
+/// [`put_view`] over a materialized view, straight from its columns.
+fn put_borrowed_view(out: &mut Vec<u8>, v: &View) {
+    let columns = v.table.columns();
+    put_view(
+        out,
+        v.id.0,
+        v.provenance.join_score.to_bits(),
+        v.provenance.hops() as u32,
+        v.provenance.source_tables.iter().map(|t| t.0),
+        v.table.schema.columns.iter().map(|c| c.name.as_deref()),
+        (0..v.table.row_count()).map(|r| columns.iter().map(move |c| &c.values()[r])),
+    );
+}
+
+/// A row count followed by that many `ncols`-wide rows of cells.
+fn read_rows(
+    r: &mut Reader<'_>,
+    ncols: usize,
+    rows_what: &str,
+    cell_what: &str,
+) -> Result<Vec<Vec<Value>>> {
+    let nrows = r.count(ncols.max(1), rows_what)?;
+    let mut rows = Vec::with_capacity(nrows);
+    for _ in 0..nrows {
+        let mut row = Vec::with_capacity(ncols);
+        for _ in 0..ncols {
+            row.push(r.value(cell_what)?);
+        }
+        rows.push(row);
+    }
+    Ok(rows)
 }
 
 /// `ver_search::SearchStats` on the wire.
@@ -511,6 +658,17 @@ pub struct WireSearchStats {
 }
 
 impl WireSearchStats {
+    /// The in-process search counters, widened to the wire's `u64`s.
+    fn from_stats(s: &ver_search::SearchStats) -> WireSearchStats {
+        WireSearchStats {
+            combinations: s.combinations as u64,
+            skipped_by_cache: s.skipped_by_cache as u64,
+            joinable_groups: s.joinable_groups as u64,
+            join_graphs: s.join_graphs as u64,
+            views: s.views as u64,
+        }
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
         put_u64(out, self.combinations);
         put_u64(out, self.skipped_by_cache);
@@ -689,12 +847,7 @@ impl WireShardView {
             put_opt_string(out, name.as_deref());
             out.push(*tag);
         }
-        put_u32(out, self.rows.len() as u32);
-        for row in &self.rows {
-            for v in row {
-                put_value(out, v);
-            }
-        }
+        put_rows(out, self.rows.iter().map(|row| row.iter()));
         put_u32(out, self.join_edges.len() as u32);
         for ((at, ao), (bt, bo)) in &self.join_edges {
             put_u32(out, *at);
@@ -730,22 +883,14 @@ impl WireShardView {
         let table_id = r.u32("shard view table id")?;
         let table_name = r.string("shard view table name")?;
         let ncols = r.count(2, "shard view columns")?;
-        let mut columns = Vec::new();
+        let mut columns = Vec::with_capacity(ncols);
         for _ in 0..ncols {
             let name = r.opt_string("shard view column name")?;
             let tag = r.u8("shard view column dtype")?;
             dtype_from_tag(tag, "shard view column")?;
             columns.push((name, tag));
         }
-        let nrows = r.count(ncols.max(1), "shard view rows")?;
-        let mut rows = Vec::new();
-        for _ in 0..nrows {
-            let mut row = Vec::new();
-            for _ in 0..ncols {
-                row.push(r.value("shard view cell")?);
-            }
-            rows.push(row);
-        }
+        let rows = read_rows(r, ncols, "shard view rows", "shard view cell")?;
         let nedges = r.count(12, "shard view join edges")?;
         let mut join_edges = Vec::new();
         for _ in 0..nedges {
@@ -797,18 +942,11 @@ pub struct WireShardOutput {
 
 impl WireShardOutput {
     pub fn from_output(out: &ver_search::ShardSearchOutput) -> WireShardOutput {
-        let s = &out.stats;
         WireShardOutput {
             shard: out.shard as u32,
             shard_count: out.shard_count as u32,
             partial: out.partial,
-            stats: WireSearchStats {
-                combinations: s.combinations as u64,
-                skipped_by_cache: s.skipped_by_cache as u64,
-                joinable_groups: s.joinable_groups as u64,
-                join_graphs: s.join_graphs as u64,
-                views: s.views as u64,
-            },
+            stats: WireSearchStats::from_stats(&out.stats),
             views: out
                 .views
                 .iter()
@@ -1164,62 +1302,134 @@ fn put_views(out: &mut Vec<u8>, views: &[WireView]) {
 
 fn read_views(r: &mut Reader<'_>) -> Result<Vec<WireView>> {
     let n = r.count(20, "views")?;
-    let mut views = Vec::new();
+    let mut views = Vec::with_capacity(n);
     for _ in 0..n {
         views.push(WireView::decode(r)?);
     }
     Ok(views)
 }
 
+/// The one writer of a `Query` head's layout up to its views.
+#[allow(clippy::too_many_arguments)]
+fn put_head(
+    out: &mut Vec<u8>,
+    partial: bool,
+    stats: &WireSearchStats,
+    survivors_c2: impl ExactSizeIterator<Item = u32>,
+    ranked: impl ExactSizeIterator<Item = (u32, u64)>,
+    total_views: u32,
+    page_size: u32,
+    cursor: u64,
+) {
+    out.push(RESP_QUERY);
+    out.push(partial as u8);
+    stats.encode(out);
+    put_u32(out, survivors_c2.len() as u32);
+    for v in survivors_c2 {
+        put_u32(out, v);
+    }
+    put_u32(out, ranked.len() as u32);
+    for (v, s) in ranked {
+        put_u32(out, v);
+        put_u64(out, s);
+    }
+    put_u32(out, total_views);
+    put_u32(out, page_size);
+    put_u64(out, cursor);
+}
+
+/// The one writer of a `Page`'s layout up to its views.
+fn put_page_head(out: &mut Vec<u8>, cursor: u64, page: u32, last: bool) {
+    out.push(RESP_PAGE);
+    put_u64(out, cursor);
+    put_u32(out, page);
+    out.push(last as u8);
+}
+
+/// Append the `Query` response head for `result` to `out`, straight from
+/// the shared result: page 0 is `result.views[..page_size]`, or every
+/// view when `page_size == 0`. The bytes equal [`Response::encode`] of the
+/// [`QueryHead`] built from [`WireResult::from_query_result`] with the
+/// same `page_size` and `cursor`.
+pub fn encode_query_head(out: &mut Vec<u8>, result: &QueryResult, page_size: u32, cursor: u64) {
+    let total = result.views.len();
+    let page0 = match page_size {
+        0 => total,
+        n => (n as usize).min(total),
+    };
+    put_head(
+        out,
+        result.partial,
+        &WireSearchStats::from_stats(&result.search_stats),
+        result.distill.survivors_c2.iter().map(|v| v.0),
+        result.ranked.iter().map(|(v, s)| (v.0, *s as u64)),
+        total as u32,
+        page_size,
+        cursor,
+    );
+    put_u32(out, page0 as u32);
+    for v in &result.views[..page0] {
+        put_borrowed_view(out, v);
+    }
+}
+
+/// Append a `Page` response carrying `views` to `out`, straight from the
+/// shared result's views. The bytes equal [`Response::encode`] of the
+/// [`Page`] holding the same views as [`WireView`]s.
+pub fn encode_page(out: &mut Vec<u8>, cursor: u64, page: u32, last: bool, views: &[View]) {
+    put_page_head(out, cursor, page, last);
+    put_u32(out, views.len() as u32);
+    for v in views {
+        put_borrowed_view(out, v);
+    }
+}
+
 impl Response {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append this response's payload to `out` (a frame buffer, say).
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Query(head) => {
-                out.push(RESP_QUERY);
-                out.push(head.partial as u8);
-                head.stats.encode(&mut out);
-                put_u32(&mut out, head.survivors_c2.len() as u32);
-                for v in &head.survivors_c2 {
-                    put_u32(&mut out, *v);
-                }
-                put_u32(&mut out, head.ranked.len() as u32);
-                for (v, s) in &head.ranked {
-                    put_u32(&mut out, *v);
-                    put_u64(&mut out, *s);
-                }
-                put_u32(&mut out, head.total_views);
-                put_u32(&mut out, head.page_size);
-                put_u64(&mut out, head.cursor);
-                put_views(&mut out, &head.views);
+                put_head(
+                    out,
+                    head.partial,
+                    &head.stats,
+                    head.survivors_c2.iter().copied(),
+                    head.ranked.iter().copied(),
+                    head.total_views,
+                    head.page_size,
+                    head.cursor,
+                );
+                put_views(out, &head.views);
             }
             Response::Page(p) => {
-                out.push(RESP_PAGE);
-                put_u64(&mut out, p.cursor);
-                put_u32(&mut out, p.page);
-                out.push(p.last as u8);
-                put_views(&mut out, &p.views);
+                put_page_head(out, p.cursor, p.page, p.last);
+                put_views(out, &p.views);
             }
             Response::Stats(s) => {
                 out.push(RESP_STATS);
-                s.encode(&mut out);
+                s.encode(out);
             }
             Response::Health(h) => {
                 out.push(RESP_HEALTH);
-                h.encode(&mut out);
+                h.encode(out);
             }
             Response::ShutdownAck => out.push(RESP_SHUTDOWN_ACK),
             Response::ShardOutput(o) => {
                 out.push(RESP_SHARD_OUTPUT);
-                o.encode(&mut out);
+                o.encode(out);
             }
             Response::Error { code, message } => {
                 out.push(RESP_ERROR);
-                put_u16(&mut out, *code);
-                put_string(&mut out, message);
+                put_u16(out, *code);
+                put_string(out, message);
             }
         }
-        out
     }
 
     pub fn decode(payload: &[u8]) -> Result<Response> {
@@ -1229,12 +1439,12 @@ impl Response {
                 let partial = r.bool("partial flag")?;
                 let stats = WireSearchStats::decode(&mut r)?;
                 let nsurv = r.count(4, "survivors")?;
-                let mut survivors_c2 = Vec::new();
+                let mut survivors_c2 = Vec::with_capacity(nsurv);
                 for _ in 0..nsurv {
                     survivors_c2.push(r.u32("survivor id")?);
                 }
                 let nranked = r.count(12, "ranked")?;
-                let mut ranked = Vec::new();
+                let mut ranked = Vec::with_capacity(nranked);
                 for _ in 0..nranked {
                     let v = r.u32("ranked id")?;
                     let s = r.u64("ranked score")?;
@@ -1304,16 +1514,9 @@ impl WireResult {
     /// test pins `render` of this against `render` of a client-fetched
     /// copy *and* against the in-process snapshot file.
     pub fn from_query_result(result: &QueryResult) -> WireResult {
-        let s = &result.search_stats;
         WireResult {
             partial: result.partial,
-            stats: WireSearchStats {
-                combinations: s.combinations as u64,
-                skipped_by_cache: s.skipped_by_cache as u64,
-                joinable_groups: s.joinable_groups as u64,
-                join_graphs: s.join_graphs as u64,
-                views: s.views as u64,
-            },
+            stats: WireSearchStats::from_stats(&result.search_stats),
             survivors_c2: result.distill.survivors_c2.iter().map(|v| v.0).collect(),
             ranked: result
                 .ranked
@@ -1616,5 +1819,160 @@ mod tests {
             Response::Page(p) => assert_eq!(p.views[0].score_bits, v.score_bits),
             other => panic!("expected Page, got {other:?}"),
         }
+    }
+
+    /// splitmix64: the random views below come from one seed.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Text that repeats across cells, and text that does not.
+    const POOL: [&str; 6] = ["", "ATL", "Zürich", "東京", "a\u{0}b", "state_1"];
+
+    fn random_text(rng: &mut Rng) -> String {
+        if rng.below(2) == 0 {
+            POOL[rng.below(POOL.len() as u64) as usize].to_string()
+        } else {
+            let len = rng.below(12) as usize;
+            (0..len)
+                .map(|_| char::from_u32(rng.below(0x3000) as u32).unwrap_or('\u{fffd}'))
+                .collect()
+        }
+    }
+
+    fn random_value(rng: &mut Rng) -> Value {
+        match rng.below(5) {
+            0 => Value::Null,
+            1 => Value::Int(rng.next() as i64),
+            // Any bit pattern, NaN payloads included.
+            2 => Value::Float(f64::from_bits(rng.next())),
+            3 => Value::Float(f64::from_bits(0x7ff8_0000_0000_0000 | rng.below(1 << 51))),
+            _ => Value::text(random_text(rng)),
+        }
+    }
+
+    fn random_view(rng: &mut Rng, id: u32) -> View {
+        use ver_common::ids::{ColumnRef, TableId, ViewId};
+        use ver_store::schema::{ColumnMeta, TableSchema};
+        let ncols = rng.below(4) as usize;
+        let nrows = if ncols == 0 { 0 } else { rng.below(6) as usize };
+        let metas = (0..ncols)
+            .map(|_| ColumnMeta {
+                name: (rng.below(3) != 0).then(|| Arc::from(random_text(rng))),
+                dtype: ver_common::value::DataType::Unknown,
+            })
+            .collect();
+        let columns = (0..ncols)
+            .map(|_| {
+                let values = (0..nrows).map(|_| random_value(rng)).collect();
+                ver_store::column::Column::from_values(values)
+            })
+            .collect();
+        let table = ver_store::table::Table::new(TableSchema::new("v", metas), columns).unwrap();
+        let cref = |t: u64| ColumnRef {
+            table: TableId(t as u32),
+            ordinal: 0,
+        };
+        let provenance = ver_core::engine::Provenance {
+            join_edges: (0..rng.below(3)).map(|t| (cref(t), cref(t + 1))).collect(),
+            source_tables: (0..rng.below(4))
+                .map(|_| TableId(rng.next() as u32))
+                .collect(),
+            projection: Vec::new(),
+            join_score: f64::from_bits(rng.next()),
+        };
+        View::new(ViewId(id), table, provenance)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig {
+            cases: 256,
+            ..proptest::test_runner::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn direct_page_encoding_is_the_reference_encoding(seed in proptest::arbitrary::any::<u64>()) {
+            let mut rng = Rng(seed);
+            let views: Vec<View> = (0..rng.below(4) as u32).map(|id| random_view(&mut rng, id)).collect();
+            let (cursor, page, last) = (rng.next(), rng.next() as u32, rng.below(2) == 0);
+            let mut direct = Vec::new();
+            encode_page(&mut direct, cursor, page, last, &views);
+            let reference = Response::Page(Page {
+                cursor,
+                page,
+                last,
+                views: views.iter().map(WireView::from_view).collect(),
+            });
+            assert_eq!(direct, reference.encode());
+            assert_eq!(Response::decode(&direct).unwrap(), reference);
+        }
+    }
+
+    #[test]
+    fn repeated_text_in_one_payload_shares_one_allocation() {
+        let view = WireView {
+            columns: vec![Some("a".into()), Some("b".into())],
+            rows: (0..50)
+                .map(|i| vec![Value::text(format!("v{}", i % 3)), Value::text("same")])
+                .collect(),
+            ..sample_view()
+        };
+        let resp = Response::Page(Page {
+            cursor: 1,
+            page: 1,
+            last: true,
+            views: vec![view.clone(), view],
+        });
+        let Response::Page(decoded) = Response::decode(&resp.encode()).unwrap() else {
+            panic!("expected a page");
+        };
+        assert_eq!(Response::Page(decoded.clone()), resp);
+        let text = |v: usize, r: usize, c: usize| match &decoded.views[v].rows[r][c] {
+            Value::Text(t) => Arc::clone(t),
+            other => panic!("expected text, got {other:?}"),
+        };
+        assert!(Arc::ptr_eq(&text(0, 0, 1), &text(1, 49, 1)));
+        assert!(Arc::ptr_eq(&text(0, 0, 0), &text(1, 3, 0)));
+        assert!(!Arc::ptr_eq(&text(0, 0, 0), &text(0, 1, 0)));
+    }
+
+    #[test]
+    fn more_distinct_text_than_interner_slots_still_decodes() {
+        let view = WireView {
+            columns: vec![None],
+            rows: (0..5000)
+                .map(|i| vec![Value::text(format!("t{i}"))])
+                .collect(),
+            ..sample_view()
+        };
+        let resp = Response::Page(Page {
+            cursor: 1,
+            page: 1,
+            last: true,
+            views: vec![view],
+        });
+        assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+    }
+
+    #[test]
+    fn invalid_utf8_text_is_a_protocol_error_even_after_a_valid_twin() {
+        // "ab" decodes and is interned; an invalid 2-byte cell after it
+        // must still be validated, not matched.
+        let payload = [3, 2, 0, 0, 0, b'a', b'b', 3, 2, 0, 0, 0, 0xff, 0xfe];
+        let mut r = Reader::new(&payload);
+        assert_eq!(r.value("cell").unwrap(), Value::text("ab"));
+        assert!(matches!(r.value("cell"), Err(VerError::Protocol(_))));
     }
 }

@@ -15,7 +15,12 @@ use ver_bench::golden::{golden_catalog, golden_queries, SNAPSHOT_PATH};
 use ver_index::persist::save_index;
 use ver_index::{build_index, DiscoveryIndex, IndexConfig};
 use ver_qbe::ViewSpec;
-use ver_serve::net::{Backend, Client, NetConfig, RetryPolicy, Server, ServerHandle};
+use ver_serve::net::frame::{read_frame, write_frame, ReadOutcome};
+use ver_serve::net::wire::{encode_page, encode_query_head};
+use ver_serve::net::{
+    Backend, Client, NetConfig, Page, QueryHead, Request, Response, RetryPolicy, Server,
+    ServerHandle, WireResult,
+};
 use ver_serve::{RouterEngine, ServeConfig, ServeEngine};
 use ver_store::catalog::TableCatalog;
 
@@ -184,6 +189,126 @@ fn four_concurrent_clients_see_identical_golden_bytes() {
     let stats = handle.net_stats();
     assert_eq!(stats.accepted, 4);
     assert_eq!(stats.protocol_errors, 0);
+}
+
+/// The reference payloads for one answer at one requested page size,
+/// built the way `Response::encode` always has, from
+/// `WireResult::from_query_result`: the head, then every follow-up page.
+/// `cursor` is the id a paginated head carries.
+fn reference_frames(wire: &WireResult, page_size: u32, cursor: u64) -> Vec<Vec<u8>> {
+    let total = wire.views.len();
+    let paged = page_size != 0 && total > page_size as usize;
+    let page0 = if paged { page_size as usize } else { total };
+    let mut frames = vec![Response::Query(QueryHead {
+        partial: wire.partial,
+        stats: wire.stats,
+        survivors_c2: wire.survivors_c2.clone(),
+        ranked: wire.ranked.clone(),
+        total_views: total as u32,
+        page_size: if paged { page_size } else { 0 },
+        cursor: if paged { cursor } else { 0 },
+        views: wire.views[..page0].to_vec(),
+    })
+    .encode()];
+    if paged {
+        for (page, views) in wire.views.chunks(page_size as usize).enumerate().skip(1) {
+            frames.push(
+                Response::Page(Page {
+                    cursor,
+                    page: page as u32,
+                    last: page * page_size as usize + views.len() == total,
+                    views: views.to_vec(),
+                })
+                .encode(),
+            );
+        }
+    }
+    frames
+}
+
+/// One exchange on a raw socket: the reply's payload bytes as sent.
+fn exchange(stream: &mut std::net::TcpStream, req: &Request) -> Vec<u8> {
+    write_frame(stream, &req.encode()).expect("send");
+    match read_frame(stream).expect("reply") {
+        ReadOutcome::Frame(payload) => payload,
+        ReadOutcome::Eof => panic!("server closed the connection"),
+    }
+}
+
+#[test]
+fn server_frames_are_byte_identical_to_the_reference_encoding() {
+    let engine = Arc::new(
+        ServeEngine::warm_start(catalog(), index(), ServeConfig::default()).expect("warm start"),
+    );
+    let handle = spawn_with(Backend::Single(Arc::clone(&engine)), NetConfig::default());
+    let mut stream = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    for (name, spec) in &queries() {
+        let result = engine.query(spec).expect("query");
+        let wire = WireResult::from_query_result(&result);
+        let total = wire.views.len() as u32;
+        for page_size in [0, 1, 7, total.saturating_sub(1), total, total + 1] {
+            let reference = reference_frames(&wire, page_size, 42);
+
+            // The encoders, straight from the shared result.
+            let paged = reference.len() > 1;
+            let (effective, cursor) = if paged { (page_size, 42) } else { (0, 0) };
+            let mut head = Vec::new();
+            encode_query_head(&mut head, &result, effective, cursor);
+            assert!(
+                head == reference[0],
+                "{name}, page size {page_size}: head bytes differ"
+            );
+            for (page, expected) in reference.iter().enumerate().skip(1) {
+                let start = page * page_size as usize;
+                let end = (start + page_size as usize).min(total as usize);
+                let mut bytes = Vec::new();
+                encode_page(
+                    &mut bytes,
+                    cursor,
+                    page as u32,
+                    end == total as usize,
+                    &result.views[start..end],
+                );
+                assert!(
+                    &bytes == expected,
+                    "{name}, page size {page_size}: page {page} bytes differ"
+                );
+            }
+
+            // The live server, frame by frame.
+            let head = exchange(
+                &mut stream,
+                &Request::Query {
+                    spec: spec.clone(),
+                    page_size,
+                    timeout_ms: 0,
+                },
+            );
+            let cursor = match Response::decode(&head).expect("decode head") {
+                Response::Query(h) => h.cursor,
+                other => panic!("{name}: expected a head, got {other:?}"),
+            };
+            let reference = reference_frames(&wire, page_size, cursor);
+            assert!(
+                head == reference[0],
+                "{name}, page size {page_size}: served head differs"
+            );
+            for (page, expected) in reference.iter().enumerate().skip(1) {
+                let served = exchange(
+                    &mut stream,
+                    &Request::FetchPage {
+                        cursor,
+                        page: page as u32,
+                    },
+                );
+                assert!(
+                    &served == expected,
+                    "{name}, page size {page_size}: served page {page} differs"
+                );
+            }
+        }
+    }
+    assert_eq!(handle.net_stats().cursors_open, 0, "every cursor drained");
 }
 
 /// Spawn `n` shard-leg servers (each a plain single-engine `verd`
